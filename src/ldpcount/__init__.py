@@ -52,9 +52,8 @@ from .oracles import (
     exact_counts,
 )
 from .ordering import NodeOrdering, apply_ordering, get_ordering
+from .protocol import EstimateReport, clipped_degree
 from .triangles import (
-    EstimateReport,
-    clipped_degree,
     estimate_triangles,
     user_triangle_estimate,
     user_triangle_noise,

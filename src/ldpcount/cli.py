@@ -14,15 +14,17 @@ import sys
 from .cycles import estimate_odd_cycles
 from .errors import ParseError, ResourceLimitError, ValidationError
 from .experiments import (
+    TASKS,
     ExperimentConfig,
     error_scaling,
-    make_graph,
+    load_graph,
     run_trials,
     verify_bounds,
 )
-from .graphs import dump_edge_list, graph_stats, load_edge_list
-from .mechanisms import PrivacyBudget, check_budget, derive_seed
+from .graphs import dump_edge_list, graph_stats
+from .mechanisms import PrivacyBudget, check_budget
 from .oracles import exact_counts
+from .protocol import MODES
 from .triangles import estimate_triangles
 
 
@@ -51,7 +53,7 @@ def _add_budget(p: _Parser) -> None:
 
 def _add_run(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=("noisy", "no-noise"), default="noisy")
+    p.add_argument("--mode", choices=MODES, default="noisy")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
@@ -92,7 +94,7 @@ def build_parser() -> _Parser:
     _add_source(p)
     _add_budget(p)
     _add_run(p)
-    p.add_argument("--task", choices=("triangles", "cycles"), required=True)
+    p.add_argument("--task", choices=TASKS, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
@@ -109,7 +111,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("error-scaling", help="RMSE vs n and its log-log slope")
     _add_budget(p)
     _add_run(p)
-    p.add_argument("--task", choices=("triangles", "cycles"), required=True)
+    p.add_argument("--task", choices=TASKS, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--gen", required=True, help="template with {n}, e.g. ba:{n}:3")
     p.add_argument("--sizes", required=True, help="comma-separated node counts")
@@ -132,11 +134,15 @@ def _emit_json(doc: dict, out: str | None) -> None:
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
 
+def _emit_table(result, args) -> None:
+    if args.format == "csv":
+        _emit(result.to_csv(), args.out)
+    else:
+        _emit_json(result.to_json_dict(), args.out)
+
+
 def _load_source(args):
-    if args.graph is not None:
-        with open(args.graph, "r", encoding="utf-8") as fh:
-            return load_edge_list(fh)
-    return make_graph(args.gen, derive_seed(args.seed, "graph"))
+    return load_graph(args.graph, args.gen, args.seed)
 
 
 def _budget_from(args) -> PrivacyBudget | None:
@@ -163,8 +169,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _run(args) -> None:
     if args.command == "gen-graph":
-        graph = make_graph(args.gen, derive_seed(args.seed, "graph"))
-        _emit(dump_edge_list(graph), args.out)
+        _emit(dump_edge_list(load_graph(None, args.gen, args.seed)), args.out)
     elif args.command == "stats":
         _emit_json(graph_stats(_load_source(args)).to_json_dict(), args.out)
     elif args.command == "count-exact":
@@ -195,15 +200,10 @@ def _run(args) -> None:
             gen=args.gen,
             k=args.k,
             budget=_budget_from(args),
-            eps_total=args.eps_total,
             threads=args.threads,
             keep_estimates=args.keep_estimates,
         )
-        summary = run_trials(config)
-        if args.format == "csv":
-            _emit(summary.to_csv(), args.out)
-        else:
-            _emit_json(summary.to_json_dict(), args.out)
+        _emit_table(run_trials(config), args)
     elif args.command == "verify-bounds":
         report = verify_bounds(
             _load_source(args), args.orderings, args.eps0, args.seed
@@ -221,10 +221,7 @@ def _run(args) -> None:
             mode=args.mode,
             threads=args.threads,
         )
-        if args.format == "csv":
-            _emit(report.to_csv(), args.out)
-        else:
-            _emit_json(report.to_json_dict(), args.out)
+        _emit_table(report, args)
 
 
 def main(argv=None) -> int:

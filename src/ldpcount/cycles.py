@@ -1,6 +1,6 @@
 """Private odd-length cycle estimation (k >= 5).
 
-Per user, the fork pairs from the triangle pipeline are extended into sums
+Per user, the fork pairs of the shared protocol stage are extended into sums
 over admissible length-(k-2) vertex tuples between the fork endpoints; the
 noise scale couples the clipped degree with a server-side walk sum over the
 unbiased matrix.
@@ -16,13 +16,13 @@ from .mechanisms import (
     STAGE_COUNT,
     ObfuscatedGraph,
     PrivacyBudget,
-    sample_laplace,
     substream,
     unbias_span,
 )
-from .triangles import (
+from .protocol import (
     EstimateReport,
-    _resolve_mode,
+    add_noise,
+    resolve_mode,
     run_ordered_stage,
     split_forks,
 )
@@ -189,9 +189,7 @@ def user_cycle_noise(
     scale = (
         3.0 * unbias_span(eps1) ** 2 * max(float(d_hat), 0.0) * abs(walk_sum) / eps2
     )
-    if scale == 0.0:
-        return float(c_hat)
-    return float(c_hat) + float(sample_laplace(scale, rng))
+    return add_noise(c_hat, scale, rng)
 
 
 def estimate_odd_cycles(
@@ -211,7 +209,7 @@ def estimate_odd_cycles(
     was counted, keyed by canonical vertex tuple in original node ids.
     """
     _require_odd_k(k)
-    noisy, eps0, eps1, eps2, zeta = _resolve_mode(mode, budget)
+    noisy, eps0, eps1, eps2, zeta = resolve_mode(mode, budget)
     if multiplicity_out is not None and noisy:
         raise ValidationError("multiplicity instrumentation needs no-noise mode")
     stage = run_ordered_stage(graph, eps0, eps1, zeta, seed, trial)

@@ -18,10 +18,11 @@ import numpy as np
 from .cycles import estimate_odd_cycles
 from .errors import ValidationError
 from .graphs import Graph, gen_ba, gen_er, gen_ktree, graph_stats, load_edge_list
-from .mechanisms import PrivacyBudget, check_budget, derive_seed, substream
+from .mechanisms import PrivacyBudget, derive_seed, substream
 from .oracles import count_cycles, count_low2stars, count_monotone_cycles, count_triangles
 from .ordering import apply_ordering, get_ordering
-from .triangles import EstimateReport, estimate_triangles
+from .protocol import EstimateReport, resolve_mode
+from .triangles import estimate_triangles
 
 TASKS = ("triangles", "cycles")
 SUMMARY_COLUMNS = ("exact", "mean", "rmse", "bias", "stderr", "clipped_fraction")
@@ -45,6 +46,14 @@ def make_graph(spec: str, seed: int) -> Graph:
     raise ValidationError(f"unknown generator kind {kind!r} in {spec!r}")
 
 
+def load_graph(graph_path: str | None, gen: str | None, seed: int) -> Graph:
+    """The edge list at ``graph_path``, else ``gen`` built from the graph seed of ``seed``."""
+    if graph_path is not None:
+        with open(graph_path, "r", encoding="utf-8") as fh:
+            return load_edge_list(fh)
+    return make_graph(gen, derive_seed(seed, "graph"))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One Monte-Carlo run: graph source, task, budget, trial count."""
@@ -57,7 +66,6 @@ class ExperimentConfig:
     gen: str | None = None
     k: int | None = None
     budget: PrivacyBudget | None = None
-    eps_total: float | None = None
     threads: int = 1
     keep_estimates: bool = False
 
@@ -70,25 +78,9 @@ class ExperimentConfig:
             raise ValidationError("exactly one of graph_path or gen is required")
         if self.task == "cycles" and self.k is None:
             raise ValidationError("cycle experiments need k")
-        if self.mode == "noisy":
-            if self.budget is None:
-                raise ValidationError("noisy experiments need a budget")
-            if self.eps_total is not None and not check_budget(
-                self.budget, self.eps_total
-            ):
-                raise ValidationError(
-                    f"budget spends {self.budget.total}, more than the declared "
-                    f"total {self.eps_total}"
-                )
+        resolve_mode(self.mode, self.budget)
         if self.threads < 1:
             raise ValidationError(f"threads must be >= 1, got {self.threads}")
-
-
-def _config_graph(config: ExperimentConfig) -> Graph:
-    if config.graph_path is not None:
-        with open(config.graph_path, "r", encoding="utf-8") as fh:
-            return load_edge_list(fh)
-    return make_graph(config.gen, derive_seed(config.seed, "graph"))
 
 
 @dataclass(frozen=True)
@@ -155,7 +147,7 @@ def summarize(exact: float, reports: list[EstimateReport]) -> TrialSummary:
 
 def run_trials(config: ExperimentConfig) -> TrialSummary:
     """Exact count once, then independent estimation trials, then summary."""
-    graph = _config_graph(config)
+    graph = load_graph(config.graph_path, config.gen, config.seed)
     if config.task == "triangles":
         exact = count_triangles(graph)
         run: Callable[[int], EstimateReport] = lambda t: estimate_triangles(

@@ -103,12 +103,15 @@ def randomize_response_row(bits, eps: float, rng: np.random.Generator | None = N
     return np.bitwise_xor(bits, flip.astype(np.uint8))
 
 
-def unbias(bit: int, eps: float) -> float:
-    """Affine correction making a randomized bit an unbiased edge estimate."""
+def unbias(bit, eps: float):
+    """Affine correction making randomized bits unbiased edge estimates.
+
+    ``bit`` is a 0/1 scalar or an integer array; an array comes back as float64.
+    """
     if eps == INF:
-        return float(bit)
+        return bit * 1.0
     e = math.exp(eps)
-    return ((e + 1.0) * float(bit) - 1.0) / (e - 1.0)
+    return ((e + 1.0) * bit - 1.0) / (e - 1.0)
 
 
 def unbias_span(eps: float) -> float:
@@ -147,11 +150,9 @@ class ObfuscatedGraph:
     @cached_property
     def unbiased(self) -> np.ndarray:
         """Matrix of unbiased edge estimates, diagonal forced to zero."""
-        if self.eps == INF:
-            a = self.bits.astype(np.float64)
-        else:
-            e = math.exp(self.eps)
-            a = ((e + 1.0) * self.bits.astype(np.float64) - 1.0) / (e - 1.0)
+        # Pass the uint8 bits: a float64 copy bound to unbias's parameter
+        # defeats numpy's temporary elision and adds an n*n float64 at peak.
+        a = unbias(self.bits, self.eps)
         np.fill_diagonal(a, 0.0)
         a.flags.writeable = False
         return a

@@ -66,7 +66,7 @@ def get_ordering(graph: Graph, eps0: float, rng=None) -> NodeOrdering:
     """Publish degrees with Laplace noise of scale 1/eps0 and rank them.
 
     ``rng`` may be a single numpy Generator (noise drawn sequentially in node
-    order) or a sequence of per-user Generators for the substream contract.
+    order) or an iterable of per-user Generators for the substream contract.
     At eps0=inf the degrees are published exactly and ``rng`` is unused.
     """
     if not eps0 > 0:

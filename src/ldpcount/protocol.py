@@ -1,0 +1,175 @@
+"""The protocol's shared front half and its report type.
+
+Every estimator runs the same ordering query, randomized response, degree
+clipping and projection; only the per-user sums and their noise scale differ.
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_left
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import ValidationError
+from .graphs import Graph
+from .mechanisms import (
+    INF,
+    STAGE_DEGREE,
+    STAGE_RR,
+    ObfuscatedGraph,
+    PrivacyBudget,
+    assemble_obfuscated,
+    project_mu,
+    randomize_response_row,
+    sample_laplace,
+    substream,
+)
+from .ordering import NodeOrdering, apply_ordering, get_ordering
+
+MODES = ("noisy", "no-noise")
+
+
+def resolve_mode(
+    mode: str, budget: PrivacyBudget | None
+) -> tuple[bool, float, float, float, float]:
+    """(noisy, eps0, eps1, eps2, zeta) for a mode; no-noise makes every eps infinite."""
+    if mode not in MODES:
+        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "noisy":
+        if budget is None:
+            raise ValidationError("a PrivacyBudget is required in noisy mode")
+        return True, budget.eps0, budget.eps1, budget.eps2, budget.zeta
+    return False, INF, INF, INF, 1.0
+
+
+def clipped_degree(noisy_degree, eps0: float, n: int, zeta: float):
+    """Noisy degree shifted up by ln(n/zeta)/eps0 so it rarely undershoots.
+
+    Takes a scalar or an array; at eps0=inf the shift is 0.  Real-valued
+    on purpose: callers floor and clamp when they need an integer cap.
+    """
+    return noisy_degree + math.log(n / zeta) / eps0
+
+
+def add_noise(value: float, scale: float, rng: np.random.Generator | None) -> float:
+    """value + Lap(scale); exactly ``value`` when the scale is zero."""
+    if scale == 0.0:
+        return float(value)
+    return float(value) + float(sample_laplace(scale, rng))
+
+
+def split_forks(row: tuple[int, ...], i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split a sorted neighbor row into partners below and above rank i."""
+    cut = bisect_left(row, i)
+    return row[:cut], row[cut:]
+
+
+@dataclass(frozen=True)
+class EstimateReport:
+    """Outcome of one protocol run, JSON-serializable.
+
+    ``estimate`` always equals the sum of ``per_user``.  ``clipped_users``
+    counts users whose floored clipped degree fell below their true degree.
+    Cycle runs additionally carry ``k`` and the server walk sum.
+    """
+
+    estimate: float
+    per_user: tuple[float, ...]
+    budget: PrivacyBudget | None
+    seed: int
+    clipped_users: int
+    mode: str
+    k: int | None = None
+    walk_sum: float | None = None
+
+    def to_json_dict(self) -> dict:
+        doc = {
+            "schema": 1,
+            "estimate": self.estimate,
+            "per_user": list(self.per_user),
+            "budget": None if self.budget is None else self.budget.to_json_dict(),
+            "seed": self.seed,
+            "clipped_users": self.clipped_users,
+            "mode": self.mode,
+        }
+        if self.k is not None:
+            doc["k"] = self.k
+            doc["walk_sum"] = self.walk_sum
+        return doc
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "EstimateReport":
+        return cls(
+            estimate=float(doc["estimate"]),
+            per_user=tuple(float(x) for x in doc["per_user"]),
+            budget=(
+                None
+                if doc["budget"] is None
+                else PrivacyBudget.from_json_dict(doc["budget"])
+            ),
+            seed=int(doc["seed"]),
+            clipped_users=int(doc["clipped_users"]),
+            mode=doc["mode"],
+            k=doc.get("k"),
+            walk_sum=doc.get("walk_sum"),
+        )
+
+
+@dataclass(frozen=True)
+class OrderedStage:
+    """Everything both estimators need after the first two queries."""
+
+    ordering: NodeOrdering
+    obf: ObfuscatedGraph
+    clipped_degrees: np.ndarray  # real-valued, per rank
+    projected: tuple[tuple[int, ...], ...]
+    clipped_users: int
+
+
+def run_ordered_stage(
+    graph: Graph,
+    eps0: float,
+    eps1: float,
+    zeta: float,
+    seed: int,
+    trial: int,
+) -> OrderedStage:
+    """Ordering query, randomized response, degree clipping and projection.
+
+    Per-user randomness comes from substreams keyed
+    (seed, trial, stage, rank), so users could run concurrently and any
+    schedule reproduces the same output.
+    """
+    n = graph.n
+    if n == 0:
+        raise ValidationError("the graph has 0 nodes; the protocol needs at least one")
+    # get_ordering ignores the generators at eps0=inf, so none are built then
+    ordering = get_ordering(
+        graph, eps0, (substream(seed, trial, STAGE_DEGREE, i) for i in range(n))
+    )
+    reordered = apply_ordering(graph, ordering)
+    noisy_by_rank = np.empty(n, dtype=np.float64)
+    noisy_by_rank[ordering.phi] = ordering.noisy_degrees
+
+    rows = []
+    for i in range(n):
+        bits = np.zeros(i, dtype=np.uint8)
+        bits[list(split_forks(reordered.adj[i], i)[0])] = 1
+        if eps1 != INF:
+            bits = randomize_response_row(bits, eps1, substream(seed, trial, STAGE_RR, i))
+        rows.append(bits)
+    obf = assemble_obfuscated(rows, eps1)
+
+    d_hat = clipped_degree(noisy_by_rank, eps0, n, zeta)
+    floors = np.floor(d_hat)
+    projected = tuple(project_mu(reordered.adj[i], floors[i]) for i in range(n))
+    clipped_users = int(np.sum(floors < reordered.degrees))
+    return OrderedStage(
+        ordering=ordering,
+        obf=obf,
+        clipped_degrees=d_hat,
+        projected=projected,
+        clipped_users=clipped_users,
+    )

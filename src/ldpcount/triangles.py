@@ -1,177 +1,29 @@
 """Private triangle estimation over a noisy-degree ordering.
 
-The front half of the protocol (ordering, randomized response, degree
-clipping, projection) is shared with the odd-cycle estimator, which imports
-it from here.
+The shared front half of the protocol (ordering, randomized response,
+degree clipping, projection) lives in :mod:`ldpcount.protocol`; this module
+adds the per-user fork sums and their noise scale.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ValidationError
 from .graphs import Graph
 from .mechanisms import (
-    INF,
     STAGE_COUNT,
-    STAGE_DEGREE,
-    STAGE_RR,
     ObfuscatedGraph,
     PrivacyBudget,
-    assemble_obfuscated,
-    project_mu,
-    randomize_response_row,
-    sample_laplace,
     substream,
     unbias_span,
 )
-from .ordering import NodeOrdering, apply_ordering, get_ordering
-
-MODES = ("noisy", "no-noise")
-
-
-def clipped_degree(noisy_degree: float, eps0: float, n: int, zeta: float) -> float:
-    """Noisy degree shifted up by ln(n/zeta)/eps0 so it rarely undershoots.
-
-    Real-valued on purpose; callers floor and clamp when they need an
-    integer cap.
-    """
-    if eps0 == INF:
-        return float(noisy_degree)
-    return float(noisy_degree) + math.log(n / zeta) / eps0
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """Outcome of one protocol run, JSON-serializable.
-
-    ``estimate`` always equals the sum of ``per_user``.  ``clipped_users``
-    counts users whose floored clipped degree fell below their true degree.
-    Cycle runs additionally carry ``k`` and the server walk sum.
-    """
-
-    estimate: float
-    per_user: tuple[float, ...]
-    budget: PrivacyBudget | None
-    seed: int
-    clipped_users: int
-    mode: str
-    k: int | None = None
-    walk_sum: float | None = None
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "schema": 1,
-            "estimate": self.estimate,
-            "per_user": list(self.per_user),
-            "budget": None if self.budget is None else self.budget.to_json_dict(),
-            "seed": self.seed,
-            "clipped_users": self.clipped_users,
-            "mode": self.mode,
-        }
-        if self.k is not None:
-            doc["k"] = self.k
-            doc["walk_sum"] = self.walk_sum
-        return doc
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "EstimateReport":
-        return cls(
-            estimate=float(doc["estimate"]),
-            per_user=tuple(float(x) for x in doc["per_user"]),
-            budget=(
-                None
-                if doc["budget"] is None
-                else PrivacyBudget.from_json_dict(doc["budget"])
-            ),
-            seed=int(doc["seed"]),
-            clipped_users=int(doc["clipped_users"]),
-            mode=doc["mode"],
-            k=doc.get("k"),
-            walk_sum=doc.get("walk_sum"),
-        )
-
-
-@dataclass(frozen=True)
-class OrderedStage:
-    """Everything both estimators need after the first two queries."""
-
-    ordering: NodeOrdering
-    graph: Graph  # reordered: node ids are ranks
-    obf: ObfuscatedGraph
-    clipped_degrees: np.ndarray  # real-valued, per rank
-    projected: tuple[tuple[int, ...], ...]
-    clipped_users: int
-
-
-def run_ordered_stage(
-    graph: Graph,
-    eps0: float,
-    eps1: float,
-    zeta: float,
-    seed: int,
-    trial: int,
-) -> OrderedStage:
-    """Ordering query, randomized response, degree clipping and projection.
-
-    Per-user randomness comes from substreams keyed
-    (seed, trial, stage, rank), so users could run concurrently and any
-    schedule reproduces the same output.
-    """
-    n = graph.n
-    if eps0 == INF:
-        ordering = get_ordering(graph, eps0)
-    else:
-        ordering = get_ordering(
-            graph,
-            eps0,
-            [substream(seed, trial, STAGE_DEGREE, i) for i in range(n)],
-        )
-    reordered = apply_ordering(graph, ordering)
-    noisy_by_rank = np.empty(n, dtype=np.float64)
-    noisy_by_rank[ordering.phi] = ordering.noisy_degrees
-
-    rows = []
-    for i in range(n):
-        bits = np.zeros(i, dtype=np.uint8)
-        for j in reordered.adj[i]:
-            if j >= i:
-                break
-            bits[j] = 1
-        if eps1 == INF:
-            rows.append(bits)
-        else:
-            rows.append(
-                randomize_response_row(bits, eps1, substream(seed, trial, STAGE_RR, i))
-            )
-    obf = assemble_obfuscated(rows, eps1)
-
-    if eps0 == INF:
-        d_hat = noisy_by_rank.copy()
-    else:
-        d_hat = noisy_by_rank + math.log(n / zeta) / eps0
-    floors = np.floor(d_hat)
-    caps = np.maximum(floors, 0).astype(np.int64)
-    projected = tuple(project_mu(reordered.adj[i], int(caps[i])) for i in range(n))
-    clipped_users = int(np.sum(floors < reordered.degrees))
-    return OrderedStage(
-        ordering=ordering,
-        graph=reordered,
-        obf=obf,
-        clipped_degrees=d_hat,
-        projected=projected,
-        clipped_users=clipped_users,
-    )
-
-
-def split_forks(row: tuple[int, ...], i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split a sorted neighbor row into partners below and above rank i."""
-    cut = bisect_left(row, i)
-    return row[:cut], row[cut:]
+from .protocol import (
+    EstimateReport,
+    add_noise,
+    resolve_mode,
+    run_ordered_stage,
+    split_forks,
+)
 
 
 def user_triangle_estimate(i: int, projected_row, obf: ObfuscatedGraph) -> float:
@@ -195,22 +47,7 @@ def user_triangle_noise(
     degree means the projected row is empty and the noise is exactly zero.
     """
     scale = 3.0 * unbias_span(eps1) * max(float(d_hat), 0.0) / eps2
-    if scale == 0.0:
-        return float(t_hat)
-    return float(t_hat) + float(sample_laplace(scale, rng))
-
-
-def _resolve_mode(
-    mode: str, budget: PrivacyBudget | None
-) -> tuple[bool, float, float, float, float]:
-    if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    noisy = mode == "noisy"
-    if noisy:
-        if budget is None:
-            raise ValidationError("a PrivacyBudget is required in noisy mode")
-        return True, budget.eps0, budget.eps1, budget.eps2, budget.zeta
-    return False, INF, INF, INF, 1.0
+    return add_noise(t_hat, scale, rng)
 
 
 def estimate_triangles(
@@ -226,9 +63,7 @@ def estimate_triangles(
     In no-noise mode the result equals the exact triangle count: every
     triangle {a < b < c} is charged to its middle rank exactly once.
     """
-    if graph.n == 0:
-        raise ValidationError("triangle estimation needs at least one node")
-    noisy, eps0, eps1, eps2, zeta = _resolve_mode(mode, budget)
+    noisy, eps0, eps1, eps2, zeta = resolve_mode(mode, budget)
     stage = run_ordered_stage(graph, eps0, eps1, zeta, seed, trial)
     n = graph.n
     per_user = np.zeros(n, dtype=np.float64)

@@ -1,12 +1,89 @@
+import hashlib
 import json
 
+import pytest
+
+from ldpcount import derive_seed, substream
 from ldpcount.cli import main
+
+BUDGET = ("--eps0", ".5", "--eps1", "1", "--eps2", "1")
+
+# sha256 of stdout at fixed seeds.  A change that moves one of these moves
+# the output bytes: say so in CHANGES.md and bump the documents' "schema".
+GOLDEN = {
+    "triangles": (
+        ("estimate-triangles", "--gen", "ba:300:3", *BUDGET, "--zeta", ".05",
+         "--seed", "42"),
+        "74262ffcde5c711b3262dda7327e0ba6d3cc931c305a5f91f5af4d660c596880",
+    ),
+    "triangles-no-noise": (
+        ("estimate-triangles", "--gen", "ba:300:3", "--mode", "no-noise",
+         "--seed", "42"),
+        "0353823c0e1ebc805bb35e0c025daf1347232b0bc5ff7aa339ea10d925e0b41c",
+    ),
+    "cycles-k5": (
+        ("estimate-cycles", "--gen", "er:30:0.2", "--k", "5", *BUDGET,
+         "--zeta", ".05", "--seed", "7"),
+        "51fe5db63147f6d3f6ff7ada78210c32b7f4c7a37c8f7835231e0f4087bcb6ef",
+    ),
+    "cycles-k7": (
+        ("estimate-cycles", "--gen", "er:12:0.3", "--k", "7", *BUDGET,
+         "--zeta", ".05", "--seed", "7"),
+        "41f0bbe5896a767574a95bf823ec4e5ed79820897993727e7f7b0ea0af314181",
+    ),
+    "experiment-csv": (
+        ("experiment", "--task", "triangles", "--gen", "ba:80:3", "--trials", "30",
+         "--seed", "11", "--eps0", ".5", "--eps1", "1", "--eps2", ".5",
+         "--zeta", ".05"),
+        "b60251cc9acc4856480a1ea92011576a407bb7803b33597be3ccbd455b826cc4",
+    ),
+    "experiment-json": (
+        ("experiment", "--task", "cycles", "--k", "5", "--gen", "er:14:0.3",
+         "--trials", "5", "--seed", "1", *BUDGET, "--format", "json",
+         "--keep-estimates"),
+        "40a80e8e22657c089de65b988f3ea4973177745eff7f87b697094ba233540f21",
+    ),
+    "verify-bounds": (
+        ("verify-bounds", "--gen", "ba:80:2", "--orderings", "10", "--eps0", "1",
+         "--seed", "3"),
+        "01124e0558fe5deb0b09f9ea47ae177edb5cf5b74e59f066034cb73e66864939",
+    ),
+    "error-scaling": (
+        ("error-scaling", "--task", "triangles", "--gen", "ba:{n}:2",
+         "--sizes", "20,30,40", "--trials", "5", "--seed", "2", *BUDGET,
+         "--format", "json"),
+        "73eee8f4892abcfb83364f1cf71898b8f9e9e203b43038f74220869c724383e0",
+    ),
+}
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output_bytes(capsys, name):
+    argv, digest = GOLDEN[name]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert sha256(out) == digest
+
+
+def test_substream_golden_draws():
+    assert derive_seed(0, 0, 2, 7) == 9464080614848850186
+    rng = substream(0, 0, 2, 7)
+    assert [rng.random().hex() for _ in range(4)] == [
+        "0x1.4bd168b94159cp-3",
+        "0x1.1fe71739e2af0p-2",
+        "0x1.eb80a955d3d84p-2",
+        "0x1.93e4d6f013244p-3",
+    ]
 
 
 def test_gen_graph_then_stats(tmp_path, capsys):
@@ -44,6 +121,9 @@ def test_estimate_triangles_deterministic_bytes(tmp_path, capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+    assert sha256(out1) == (
+        "858e951d964f8c18fc6b8126e8007542fb54b88f448d30b6079706906d29fd1c"
+    )
     doc = json.loads(out1)
     assert doc["mode"] == "noisy" and doc["budget"]["eps0"] == 0.5
 
@@ -60,12 +140,32 @@ def test_estimate_cycles_no_noise_warns_loudly(tmp_path, capsys):
     assert doc["k"] == 5 and doc["budget"] is None
 
 
-def test_budget_over_total_rejected_with_exit_1(capsys):
-    code, _, err = run_cli(capsys, "estimate-triangles", "--gen", "er:10:0.2",
-                           "--eps0", "1", "--eps1", "1", "--eps2", "1",
-                           "--eps-total", "2")
+@pytest.mark.parametrize("argv", [
+    ("estimate-triangles", "--gen", "er:10:0.2"),
+    ("estimate-cycles", "--gen", "er:10:0.2", "--k", "5"),
+    ("experiment", "--task", "triangles", "--gen", "er:10:0.2", "--trials", "2"),
+    ("error-scaling", "--task", "triangles", "--gen", "er:{n}:0.2",
+     "--sizes", "10,12,14", "--trials", "2"),
+], ids=lambda argv: argv[0])
+def test_budget_over_total_rejected_with_exit_1(capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--eps0", "1", "--eps1", "1",
+                           "--eps2", "1", "--eps-total", "2")
     assert code == 1
     assert "declared total" in err
+
+
+@pytest.mark.parametrize("mode", ["noisy", "no-noise"])
+@pytest.mark.parametrize("command", [
+    ("estimate-triangles",),
+    ("estimate-cycles", "--k", "5"),
+], ids=lambda argv: argv[0])
+def test_empty_graph_rejected_with_exit_1(tmp_path, capsys, command, mode):
+    path = tmp_path / "empty.el"
+    path.write_text("")
+    code, _, err = run_cli(capsys, *command, "--graph", str(path), *BUDGET,
+                           "--mode", mode)
+    assert code == 1
+    assert "0 nodes" in err
 
 
 def test_missing_budget_flags_exit_1(capsys):

@@ -183,6 +183,14 @@ def test_rejects_bad_k():
             estimate_odd_cycles(cycle_graph(5), k, None, 0, "no-noise")
 
 
+def test_rejects_empty_vertex_set_in_both_modes():
+    empty = Graph.from_edges(0, [])
+    with pytest.raises(ValidationError, match="0 nodes"):
+        estimate_odd_cycles(empty, 5, None, 0, "no-noise")
+    with pytest.raises(ValidationError, match="0 nodes"):
+        estimate_odd_cycles(empty, 5, PrivacyBudget(0.5, 1.0, 1.0, 0.1), 0)
+
+
 def test_resource_guard_trips_before_enumerating():
     g = gen_er(60, 0.5, seed=0)
     with pytest.raises(ResourceLimitError, match="shrink"):

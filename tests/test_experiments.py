@@ -44,10 +44,10 @@ def test_config_validation():
         ExperimentConfig(task="cycles", trials=1, seed=0, gen="er:5:0.2", budget=BUDGET)
     with pytest.raises(ValidationError):  # noisy without budget
         ExperimentConfig(task="triangles", trials=1, seed=0, gen="er:5:0.2")
-    with pytest.raises(ValidationError):  # over the declared total
+    with pytest.raises(ValidationError, match="mode"):
         ExperimentConfig(
-            task="triangles", trials=1, seed=0, gen="er:5:0.2",
-            budget=PrivacyBudget(1.0, 1.0, 1.0, 0.1), eps_total=2.0,
+            task="triangles", trials=1, seed=0, mode="bogus", gen="er:5:0.2",
+            budget=BUDGET,
         )
 
 

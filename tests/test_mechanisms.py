@@ -22,7 +22,7 @@ from ldpcount import (
     unbias_span,
     unbias_variance,
 )
-from ldpcount.mechanisms import laplace_quantile, rr_keep_probability
+from ldpcount.mechanisms import ObfuscatedGraph, laplace_quantile, rr_keep_probability
 
 INF = math.inf
 
@@ -128,6 +128,17 @@ def test_unbias_exact_values():
     assert unbias(0, math.log(3)) == pytest.approx(-0.5)
     assert unbias(1, INF) == 1.0
     assert unbias(0, INF) == 0.0
+
+
+@pytest.mark.parametrize("eps", [math.log(3), 1.3, INF])
+def test_unbias_of_a_bit_matrix_matches_scalars_and_obfuscated_graph(eps):
+    bits = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=np.uint8)
+    got = unbias(bits, eps)
+    assert got.dtype == np.float64 and bits.dtype == np.uint8
+    assert got.tolist() == [[unbias(int(b), eps) for b in row] for row in bits]
+    expected = got.copy()
+    np.fill_diagonal(expected, 0.0)
+    assert np.array_equal(ObfuscatedGraph(bits=bits, eps=eps).unbiased, expected)
 
 
 def test_unbias_span_and_variance():

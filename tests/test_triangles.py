@@ -44,6 +44,13 @@ def test_clipped_degree_examples():
     assert clipped_degree(3.0, INF, 100, 0.1) == 3.0
 
 
+@pytest.mark.parametrize("eps0", [0.5, INF])
+def test_clipped_degree_of_an_array_matches_scalars(eps0):
+    noisy = np.array([-1.5, 0.0, 3.25, 7.0])
+    got = clipped_degree(noisy, eps0, 40, 0.05)
+    assert got.tolist() == [clipped_degree(float(d), eps0, 40, 0.05) for d in noisy]
+
+
 def test_fork_sums_on_triangle():
     tri = complete_graph(3)
     obf = _identity_obf(tri)
