@@ -32,7 +32,6 @@ from .mechanisms import (
     assemble_obfuscated,
     check_budget,
     derive_seed,
-    laplace_query,
     project_mu,
     randomize_response_row,
     sample_laplace,

@@ -30,9 +30,19 @@ from .protocol import (
 PATH_TUPLE_LIMIT = 10**9
 
 
-def _require_odd_k(k: int) -> None:
+def require_odd_k(k: int) -> None:
+    """Reject a cycle length the estimator does not handle (odd k >= 5 only)."""
     if k % 2 == 0 or k < 5:
         raise ValidationError(f"cycle length must be odd and >= 5, got {k}")
+
+
+def _check_path_tuples(forks: int, n: int, k: int, who: str) -> None:
+    """Refuse a sum over more than PATH_TUPLE_LIMIT admissible-path tuples."""
+    if n ** (k - 3) * forks > PATH_TUPLE_LIMIT:
+        raise ResourceLimitError(
+            f"{who}: {forks} forks x n^{k - 3} tuples exceeds "
+            f"{PATH_TUPLE_LIMIT}; shrink n or k"
+        )
 
 
 def server_walk_sum(obf: ObfuscatedGraph, k: int) -> float:
@@ -42,7 +52,7 @@ def server_walk_sum(obf: ObfuscatedGraph, k: int) -> float:
     unbiased matrix A (zero diagonal) and costs k-4 matrix-vector products.
     It is a noise scale, not a path count.
     """
-    _require_odd_k(k)
+    require_odd_k(k)
     a = obf.unbiased
     v = np.ones(obf.n, dtype=np.float64)
     for _ in range(k - 4):
@@ -151,17 +161,12 @@ def user_cycle_estimate(
     collector: dict | None = None,
 ) -> float:
     """Sum admissible path products over all fork pairs of user i."""
-    _require_odd_k(k)
+    require_odd_k(k)
     below, above = split_forks(tuple(projected_row), i)
     fork_count = len(below) * len(above)
     if fork_count == 0:
         return 0.0
-    n = obf.n
-    if n ** (k - 3) * fork_count > PATH_TUPLE_LIMIT:
-        raise ResourceLimitError(
-            f"user {i}: {fork_count} forks x n^{k - 3} tuples exceeds "
-            f"{PATH_TUPLE_LIMIT}; shrink n or k"
-        )
+    _check_path_tuples(fork_count, obf.n, k, f"user {i}")
     ahat = obf.unbiased
     total = 0.0
     for j in below:
@@ -173,23 +178,17 @@ def user_cycle_estimate(
     return total
 
 
-def user_cycle_noise(
-    c_hat: float,
-    d_hat: float,
-    walk_sum: float,
-    eps1: float,
-    eps2: float,
-    rng: np.random.Generator | None = None,
-) -> float:
+def user_cycle_noise(c_hat, d_hat, walk_sum: float, eps1: float, eps2: float, u=None):
     """Laplace noise scaled by 3 * span(eps1)^2 * max(d_hat,0) * |walk_sum| / eps2.
 
-    The walk sum enters through its magnitude: unbiased entries can be
-    negative, and a negative scale would be meaningless.
+    Elementwise over users.  The walk sum enters through its magnitude:
+    unbiased entries can be negative, and a negative scale would be
+    meaningless.
     """
     scale = (
-        3.0 * unbias_span(eps1) ** 2 * max(float(d_hat), 0.0) * abs(walk_sum) / eps2
+        3.0 * unbias_span(eps1) ** 2 * np.maximum(d_hat, 0.0) * abs(walk_sum) / eps2
     )
-    return add_noise(c_hat, scale, rng)
+    return add_noise(c_hat, scale, u)
 
 
 def estimate_odd_cycles(
@@ -208,29 +207,29 @@ def estimate_odd_cycles(
     ``multiplicity_out`` (no-noise only) records how many times each cycle
     was counted, keyed by canonical vertex tuple in original node ids.
     """
-    _require_odd_k(k)
+    require_odd_k(k)
     noisy, eps0, eps1, eps2, zeta = resolve_mode(mode, budget)
     if multiplicity_out is not None and noisy:
         raise ValidationError("multiplicity instrumentation needs no-noise mode")
     stage = run_ordered_stage(graph, eps0, eps1, zeta, seed, trial)
-    walk_sum = server_walk_sum(stage.obf, k)
     n = graph.n
+    forks = (split_forks(row, i) for i, row in enumerate(stage.projected))
+    _check_path_tuples(sum(len(b) * len(a) for b, a in forks), n, k, "all users")
+    walk_sum = server_walk_sum(stage.obf, k)
     collector: dict | None = {} if multiplicity_out is not None else None
-    per_user = np.zeros(n, dtype=np.float64)
-    for i in range(n):
-        c = user_cycle_estimate(
-            i, stage.projected[i], stage.obf, k, collector=collector
+    per_user = np.array(
+        [
+            user_cycle_estimate(i, row, stage.obf, k, collector=collector)
+            for i, row in enumerate(stage.projected)
+        ]
+    )
+    if noisy:
+        u = np.array(
+            [substream(seed, trial, STAGE_COUNT, i).random() for i in range(n)]
         )
-        if noisy:
-            c = user_cycle_noise(
-                c,
-                float(stage.clipped_degrees[i]),
-                walk_sum,
-                eps1,
-                eps2,
-                substream(seed, trial, STAGE_COUNT, i),
-            )
-        per_user[i] = c
+        per_user = user_cycle_noise(
+            per_user, stage.clipped_degrees, walk_sum, eps1, eps2, u
+        )
     if multiplicity_out is not None:
         node_of_rank = stage.ordering.node_of_rank()
         for key, count in collector.items():

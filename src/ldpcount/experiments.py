@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cycles import estimate_odd_cycles
+from .cycles import estimate_odd_cycles, require_odd_k
 from .errors import ValidationError
 from .graphs import Graph, gen_ba, gen_er, gen_ktree, graph_stats, load_edge_list
 from .mechanisms import PrivacyBudget, derive_seed, substream
@@ -76,8 +76,10 @@ class ExperimentConfig:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if (self.graph_path is None) == (self.gen is None):
             raise ValidationError("exactly one of graph_path or gen is required")
-        if self.task == "cycles" and self.k is None:
-            raise ValidationError("cycle experiments need k")
+        if self.task == "cycles":
+            if self.k is None:
+                raise ValidationError("cycle experiments need k")
+            require_odd_k(self.k)
         resolve_mode(self.mode, self.budget)
         if self.threads < 1:
             raise ValidationError(f"threads must be >= 1, got {self.threads}")
@@ -224,7 +226,8 @@ def verify_bounds(graph: Graph, orderings: int, eps0: float, seed: int) -> Bound
     s2 = np.empty(orderings, dtype=np.float64)
     c4 = np.empty(orderings, dtype=np.float64)
     for r in range(orderings):
-        ordering = get_ordering(graph, eps0, substream(seed, "ordering", r))
+        u = substream(seed, "ordering", r).random(graph.n)
+        ordering = get_ordering(graph, eps0, u)
         reordered = apply_ordering(graph, ordering)
         s2[r] = count_low2stars(reordered)
         c4[r] = count_monotone_cycles(reordered, 4)

@@ -1,8 +1,9 @@
 """Privacy primitives: Laplace noise, randomized response, projection, budgets.
 
-All randomness flows through numpy Generators.  Reproducible parallel runs
-derive one generator per (master seed, trial, stage, user) via
-:func:`substream`; the derivation is part of the external contract.
+Every mechanism is a pure function of uniform draws in [0, 1).  The protocol
+takes those draws from one generator per (master seed, trial, stage, user),
+derived by :func:`substream`; the derivation is part of the external
+contract.
 
 Setting a budget component to ``math.inf`` turns the corresponding mechanism
 into the identity.  That is a test-harness feature, not a privacy mode.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,6 +29,9 @@ STAGE_RR = 1
 STAGE_COUNT = 2
 
 BUDGET_SLACK = 1e-12
+
+# Largest eps whose exp is finite; above it unbias takes its eps=inf limit.
+_MAX_EXP_ARG = math.log(sys.float_info.max)
 
 
 def derive_seed(master: int, *path: int | str) -> int:
@@ -48,6 +53,18 @@ def substream(master: int, *path: int | str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive_seed(master, *path)))
 
 
+def as_uniforms(u, shape: tuple[int, ...]) -> np.ndarray:
+    """``u`` as float64 draws of ``shape``; a mechanism at finite eps needs them."""
+    if u is None:
+        raise ValidationError(
+            f"uniform draws of shape {shape} are required at finite eps"
+        )
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != shape:
+        raise ValidationError(f"need uniform draws of shape {shape}, got {u.shape}")
+    return u
+
+
 def laplace_quantile(u: float | np.ndarray, scale: float):
     """Inverse CDF of the centered Laplace distribution; u=0.5 maps to 0."""
     u = np.asarray(u, dtype=np.float64)
@@ -67,39 +84,23 @@ def sample_laplace(scale: float, rng: np.random.Generator, size: int | None = No
     return laplace_quantile(u, scale)
 
 
-def laplace_query(
-    value: float,
-    sensitivity: float,
-    eps: float,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """value + Lap(sensitivity / eps); exact when eps is infinite."""
-    if not sensitivity > 0:
-        raise ValidationError(f"sensitivity must be > 0, got {sensitivity}")
-    if not eps > 0:
-        raise ValidationError(f"privacy budget must be > 0, got {eps}")
-    scale = sensitivity / eps
-    if scale == 0.0:
-        return float(value)
-    return float(value) + float(sample_laplace(scale, rng))
-
-
 def rr_keep_probability(eps: float) -> float:
     """Probability that randomized response preserves a bit: e^eps/(1+e^eps)."""
     return 1.0 / (1.0 + math.exp(-eps))
 
 
-def randomize_response_row(bits, eps: float, rng: np.random.Generator | None = None):
-    """Flip each bit independently with probability 1/(1+e^eps).
+def randomize_response_row(bits, eps: float, u=None):
+    """Flip each bit whose uniform draw in ``u`` falls below 1/(1+e^eps).
 
-    At eps=inf this is the identity and consumes no randomness.
+    ``u`` holds one draw in [0, 1) per bit.  At eps=inf this is the
+    identity and ``u`` is unused.
     """
     if not eps > 0:
         raise ValidationError(f"privacy budget must be > 0, got {eps}")
     bits = np.asarray(bits, dtype=np.uint8)
     if eps == INF:
         return bits.copy()
-    flip = rng.random(bits.shape) < (1.0 - rr_keep_probability(eps))
+    flip = as_uniforms(u, bits.shape) < (1.0 - rr_keep_probability(eps))
     return np.bitwise_xor(bits, flip.astype(np.uint8))
 
 
@@ -107,8 +108,9 @@ def unbias(bit, eps: float):
     """Affine correction making randomized bits unbiased edge estimates.
 
     ``bit`` is a 0/1 scalar or an integer array; an array comes back as float64.
+    Once e^eps would overflow (eps=inf included) the limit ``bit`` is exact.
     """
-    if eps == INF:
+    if eps > _MAX_EXP_ARG:
         return bit * 1.0
     e = math.exp(eps)
     return ((e + 1.0) * bit - 1.0) / (e - 1.0)
@@ -120,17 +122,15 @@ def unbias_span(eps: float) -> float:
     This span bounds how much one flipped adjacency bit can move any
     estimate built from unbiased entries, so it scales the Laplace noise.
     """
-    if eps == INF:
-        return 1.0
     return 1.0 / math.tanh(eps / 2.0)
 
 
 def unbias_variance(eps: float) -> float:
-    """Variance of an unbiased randomized-response entry: e^eps/(e^eps-1)^2."""
-    if eps == INF:
-        return 0.0
-    e = math.exp(eps)
-    return e / (e - 1.0) ** 2
+    """Variance of an unbiased randomized-response entry: e^eps/(e^eps-1)^2.
+
+    Written over e^-eps, so it stays finite for every eps > 0 and is 0 at inf.
+    """
+    return math.exp(-eps) / math.expm1(-eps) ** 2
 
 
 @dataclass(frozen=True)

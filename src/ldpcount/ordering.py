@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import Graph, relabel
-from .mechanisms import sample_laplace
+from .mechanisms import as_uniforms, laplace_quantile
 
 # Publishing a degree has global sensitivity 1: adding or removing one edge
 # changes it by exactly 1.
@@ -62,32 +62,18 @@ class NodeOrdering:
         )
 
 
-def get_ordering(graph: Graph, eps0: float, rng=None) -> NodeOrdering:
+def get_ordering(graph: Graph, eps0: float, u=None) -> NodeOrdering:
     """Publish degrees with Laplace noise of scale 1/eps0 and rank them.
 
-    ``rng`` may be a single numpy Generator (noise drawn sequentially in node
-    order) or an iterable of per-user Generators for the substream contract.
-    At eps0=inf the degrees are published exactly and ``rng`` is unused.
+    Node i's noise is the Laplace quantile of its uniform draw ``u[i]``.  At
+    eps0=inf the degrees are published exactly and ``u`` is unused.
     """
     if not eps0 > 0:
         raise ValidationError(f"eps0 must be > 0, got {eps0}")
     n = graph.n
-    degrees = graph.degrees.astype(np.float64)
-    if eps0 == math.inf:
-        noisy = degrees.copy()
-    elif isinstance(rng, np.random.Generator):
-        noisy = degrees + sample_laplace(DEGREE_SENSITIVITY / eps0, rng, size=n)
-    elif rng is not None:
-        gens = list(rng)
-        if len(gens) != n:
-            raise ValidationError(f"need {n} per-user generators, got {len(gens)}")
-        noise = np.array(
-            [sample_laplace(DEGREE_SENSITIVITY / eps0, g) for g in gens],
-            dtype=np.float64,
-        )
-        noisy = degrees + noise
-    else:
-        raise ValidationError("rng is required for finite eps0")
+    noisy = graph.degrees.astype(np.float64)
+    if eps0 != math.inf:
+        noisy += laplace_quantile(as_uniforms(u, (n,)), DEGREE_SENSITIVITY / eps0)
     order = np.lexsort((np.arange(n), -noisy))
     phi = np.empty(n, dtype=np.int64)
     phi[order] = np.arange(n)

@@ -20,10 +20,11 @@ from .mechanisms import (
     STAGE_RR,
     ObfuscatedGraph,
     PrivacyBudget,
+    as_uniforms,
     assemble_obfuscated,
+    laplace_quantile,
     project_mu,
     randomize_response_row,
-    sample_laplace,
     substream,
 )
 from .ordering import NodeOrdering, apply_ordering, get_ordering
@@ -53,11 +54,21 @@ def clipped_degree(noisy_degree, eps0: float, n: int, zeta: float):
     return noisy_degree + math.log(n / zeta) / eps0
 
 
-def add_noise(value: float, scale: float, rng: np.random.Generator | None) -> float:
-    """value + Lap(scale); exactly ``value`` when the scale is zero."""
-    if scale == 0.0:
-        return float(value)
-    return float(value) + float(sample_laplace(scale, rng))
+def add_noise(value, scale, u=None):
+    """value + Lap(scale), elementwise; exactly ``value`` where the scale is 0.
+
+    ``u`` holds one uniform draw in [0, 1) per value and may be None only
+    when every scale is 0.  A scalar ``value`` comes back as a float.
+    """
+    value = np.asarray(value, dtype=np.float64)
+    scale = np.asarray(scale, dtype=np.float64)
+    if not np.all(scale >= 0.0):
+        raise ValidationError(f"Laplace scale must be >= 0, got {np.min(scale)}")
+    noisy = scale != 0.0
+    if noisy.any():
+        noise = laplace_quantile(as_uniforms(u, value.shape), scale)
+        value = np.where(noisy, value + noise, value)
+    return value if value.ndim else float(value)
 
 
 def split_forks(row: tuple[int, ...], i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -138,17 +149,20 @@ def run_ordered_stage(
 ) -> OrderedStage:
     """Ordering query, randomized response, degree clipping and projection.
 
-    Per-user randomness comes from substreams keyed
-    (seed, trial, stage, rank), so users could run concurrently and any
-    schedule reproduces the same output.
+    User i's draws come from substreams keyed (seed, trial, stage, i), so
+    users could run concurrently and any schedule reproduces the same
+    output: the first uniform of its degree stream, the first i of its RR
+    stream.  No stream is built for a mechanism at eps=inf.
     """
     n = graph.n
     if n == 0:
         raise ValidationError("the graph has 0 nodes; the protocol needs at least one")
-    # get_ordering ignores the generators at eps0=inf, so none are built then
-    ordering = get_ordering(
-        graph, eps0, (substream(seed, trial, STAGE_DEGREE, i) for i in range(n))
-    )
+    u = None
+    if eps0 != INF:
+        u = np.array(
+            [substream(seed, trial, STAGE_DEGREE, i).random() for i in range(n)]
+        )
+    ordering = get_ordering(graph, eps0, u)
     reordered = apply_ordering(graph, ordering)
     noisy_by_rank = np.empty(n, dtype=np.float64)
     noisy_by_rank[ordering.phi] = ordering.noisy_degrees
@@ -158,7 +172,9 @@ def run_ordered_stage(
         bits = np.zeros(i, dtype=np.uint8)
         bits[list(split_forks(reordered.adj[i], i)[0])] = 1
         if eps1 != INF:
-            bits = randomize_response_row(bits, eps1, substream(seed, trial, STAGE_RR, i))
+            bits = randomize_response_row(
+                bits, eps1, substream(seed, trial, STAGE_RR, i).random(i)
+            )
         rows.append(bits)
     obf = assemble_obfuscated(rows, eps1)
 

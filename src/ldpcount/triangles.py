@@ -34,20 +34,14 @@ def user_triangle_estimate(i: int, projected_row, obf: ObfuscatedGraph) -> float
     return float(obf.unbiased[np.ix_(below, above)].sum())
 
 
-def user_triangle_noise(
-    t_hat: float,
-    d_hat: float,
-    eps1: float,
-    eps2: float,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Add Laplace noise at the restricted-sensitivity scale.
+def user_triangle_noise(t_hat, d_hat, eps1: float, eps2: float, u=None):
+    """Add Laplace noise at the restricted-sensitivity scale, elementwise.
 
     Scale is 3 * span(eps1) * max(d_hat, 0) / eps2; a non-positive clipped
     degree means the projected row is empty and the noise is exactly zero.
     """
-    scale = 3.0 * unbias_span(eps1) * max(float(d_hat), 0.0) / eps2
-    return add_noise(t_hat, scale, rng)
+    scale = 3.0 * unbias_span(eps1) * np.maximum(d_hat, 0.0) / eps2
+    return add_noise(t_hat, scale, u)
 
 
 def estimate_triangles(
@@ -66,18 +60,14 @@ def estimate_triangles(
     noisy, eps0, eps1, eps2, zeta = resolve_mode(mode, budget)
     stage = run_ordered_stage(graph, eps0, eps1, zeta, seed, trial)
     n = graph.n
-    per_user = np.zeros(n, dtype=np.float64)
-    for i in range(n):
-        t = user_triangle_estimate(i, stage.projected[i], stage.obf)
-        if noisy:
-            t = user_triangle_noise(
-                t,
-                float(stage.clipped_degrees[i]),
-                eps1,
-                eps2,
-                substream(seed, trial, STAGE_COUNT, i),
-            )
-        per_user[i] = t
+    per_user = np.array(
+        [user_triangle_estimate(i, stage.projected[i], stage.obf) for i in range(n)]
+    )
+    if noisy:
+        u = np.array(
+            [substream(seed, trial, STAGE_COUNT, i).random() for i in range(n)]
+        )
+        per_user = user_triangle_noise(per_user, stage.clipped_degrees, eps1, eps2, u)
     return EstimateReport(
         estimate=float(per_user.sum()),
         per_user=tuple(float(x) for x in per_user),

@@ -55,13 +55,13 @@ def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_mechanism_distributions():
     t0 = time.time()
     keep = randomize_response_row(
-        np.ones(10**5, dtype=np.uint8), math.log(3), substream(1, "rr")
+        np.ones(10**5, dtype=np.uint8), math.log(3), substream(1, "rr").random(10**5)
     ).mean()
     rr_ok = abs(keep - 0.75) <= 0.01
 
     eps = 1.0
     bits = randomize_response_row(
-        np.ones(10**5, dtype=np.uint8), eps, substream(1, "ub")
+        np.ones(10**5, dtype=np.uint8), eps, substream(1, "ub").random(10**5)
     )
     vals = np.where(bits == 1, unbias(1, eps), unbias(0, eps))
     mean_ok = abs(vals.mean() - 1.0) <= 0.02
@@ -188,7 +188,7 @@ def test_criterion_6_degree_clipping_guarantee():
     degrees = g.degrees
     failures = 0
     for r in range(runs):
-        o = get_ordering(g, eps0, substream(606, "clip", r))
+        o = get_ordering(g, eps0, substream(606, "clip", r).random(g.n))
         if np.max(np.abs(o.noisy_degrees - degrees)) >= threshold:
             failures += 1
     frac = failures / runs

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ldpcount import derive_seed, substream
+from ldpcount import derive_seed, experiments, substream
 from ldpcount.cli import main
 
 BUDGET = ("--eps0", ".5", "--eps1", "1", "--eps2", "1")
@@ -196,6 +196,32 @@ def test_resource_limit_exit_2(capsys):
     code, _, err = run_cli(capsys, "count-exact", "--gen", "er:40:0.6",
                            "--cycles", "10")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["experiment", "error-scaling"])
+def test_even_cycle_length_rejected_before_the_oracle(monkeypatch, capsys, command):
+    def oracle_must_not_run(*args, **kwargs):
+        raise AssertionError("the exact counter ran before k was checked")
+
+    monkeypatch.setattr(experiments, "count_cycles", oracle_must_not_run)
+    gen = "ba:600:3" if command == "experiment" else "ba:{n}:3"
+    argv = [command, "--task", "cycles", "--k", "8", "--gen", gen, "--trials", "2",
+            "--eps0", "1", "--eps1", "1", "--eps2", "1"]
+    if command == "error-scaling":
+        argv += ["--sizes", "200,400,600"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "odd" in err
+
+
+def test_rr_budget_past_exp_overflow_matches_infinite_budget(capsys):
+    def per_user(eps1):
+        code, out, err = run_cli(capsys, "estimate-triangles", "--gen", "ba:200:3",
+                                 "--eps0", "1", "--eps1", eps1, "--eps2", "1")
+        assert code == 0, err
+        return json.loads(out)["per_user"]
+
+    assert per_user("800") == per_user("inf")
 
 
 def test_experiment_csv_golden_header_and_determinism(tmp_path, capsys):

@@ -18,6 +18,7 @@ from ldpcount import (
     user_cycle_estimate,
     user_cycle_noise,
 )
+from ldpcount import cycles, derive_seed, make_graph
 from ldpcount.cycles import _admissible_sum_dfs, canonical_cycle
 from ldpcount.mechanisms import assemble_obfuscated, randomize_response_row
 from ldpcount.oracles import count_cycles, enumerate_cycles
@@ -43,7 +44,8 @@ def _noisy_obf(graph, eps, seed):
         for j in graph.adj[i]:
             if j < i:
                 bits[j] = 1
-        rows.append(randomize_response_row(bits, eps, substream(seed, "rr", i)))
+        u = substream(seed, "rr", i).random(i)
+        rows.append(randomize_response_row(bits, eps, u))
     return assemble_obfuscated(rows, eps)
 
 
@@ -137,7 +139,9 @@ def test_user_cycle_noise_variance():
     scale = 12.0 * d_hat * abs(walk) / eps2
     draws = np.array(
         [
-            user_cycle_noise(0.0, d_hat, walk, eps1, eps2, substream(8, "cn", i))
+            user_cycle_noise(
+                0.0, d_hat, walk, eps1, eps2, substream(8, "cn", i).random()
+            )
             for i in range(10**5)
         ]
     )
@@ -195,6 +199,24 @@ def test_resource_guard_trips_before_enumerating():
     g = gen_er(60, 0.5, seed=0)
     with pytest.raises(ResourceLimitError, match="shrink"):
         estimate_odd_cycles(g, 9, None, 0, "no-noise")
+
+
+@pytest.mark.parametrize("spec", ["ba:100:3", "er:60:0.1"])
+def test_path_guard_counts_all_users_before_any_sum(monkeypatch, spec):
+    # A per-user check alone lets ba:100:3 run about 1e9 tuples in users
+    # 0-2 before user 3 trips, and never trips on er:60:0.1, whose users
+    # need 5.2e9 tuples together; the total is checked before any sum.
+    calls = []
+
+    def counting_stub(*args, **kwargs):
+        calls.append(args[0])
+        return 0.0
+
+    monkeypatch.setattr(cycles, "user_cycle_estimate", counting_stub)
+    g = make_graph(spec, derive_seed(0, "graph"))
+    with pytest.raises(ResourceLimitError, match="all users"):
+        estimate_odd_cycles(g, 7, PrivacyBudget(0.5, 1.0, 1.0, 0.05), 0)
+    assert calls == []
 
 
 def test_canonical_cycle_forms():

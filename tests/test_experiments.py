@@ -143,7 +143,9 @@ def test_verify_bounds_matches_direct_low2star_mean():
     direct = np.mean(
         [
             count_low2stars(
-                apply_ordering(g, get_ordering(g, 2.0, substream(31, "ordering", r)))
+                apply_ordering(
+                    g, get_ordering(g, 2.0, substream(31, "ordering", r).random(g.n))
+                )
             )
             for r in range(4)
         ]

@@ -3,6 +3,10 @@
 A name with a leading underscore is private to its module.  When another
 module needs it, it belongs in a shared module under a public name, so no
 module imports another's private name.
+
+Mechanisms take uniform draws, not generators: only the code that runs a
+protocol stage builds substreams, so no function takes an ``rng`` except
+``sample_laplace``, the generator-facing sampler kept for the tests.
 """
 
 import ast
@@ -26,6 +30,21 @@ def private_imports(tree: ast.AST) -> list[str]:
     ]
 
 
+RNG_TAKERS_ALLOWED = ["mechanisms.sample_laplace"]
+
+
+def rng_parameters(tree: ast.AST, module: str) -> list[str]:
+    """Functions with a parameter named ``rng``, as ``module.function``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            if any(p is not None and p.arg == "rng" for p in params):
+                found.append(f"{module}.{node.name}")
+    return found
+
+
 def test_finds_private_import():
     tree = ast.parse("from .triangles import EstimateReport, _resolve_mode\n")
     assert private_imports(tree) == ["from .triangles import _resolve_mode"]
@@ -36,3 +55,16 @@ def test_finds_private_import():
 def test_no_private_names_imported_across_modules(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert private_imports(tree) == []
+
+
+def test_finds_rng_parameter():
+    tree = ast.parse("def f(x, *, rng=None):\n    pass\ndef g(u):\n    pass\n")
+    assert rng_parameters(tree, "m") == ["m.f"]
+
+
+def test_only_sample_laplace_takes_a_generator():
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += rng_parameters(tree, path.stem)
+    assert found == RNG_TAKERS_ALLOWED

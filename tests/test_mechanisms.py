@@ -13,7 +13,6 @@ from ldpcount import (
     check_budget,
     derive_seed,
     gen_er,
-    laplace_query,
     project_mu,
     randomize_response_row,
     sample_laplace,
@@ -23,6 +22,7 @@ from ldpcount import (
     unbias_variance,
 )
 from ldpcount.mechanisms import ObfuscatedGraph, laplace_quantile, rr_keep_probability
+from ldpcount.protocol import add_noise
 
 INF = math.inf
 
@@ -62,23 +62,47 @@ def test_sample_laplace_rejects_bad_scale():
         sample_laplace(-1.0, substream(0))
 
 
-def test_laplace_query_no_noise_mode_is_exact():
-    assert laplace_query(5.0, 1.0, INF) == 5.0
+def test_add_noise_zero_scale_is_exact():
+    assert add_noise(5.0, 1.0 / INF) == 5.0
+    values = np.array([-0.0, 1.5, -2.25, 7.0])
+    out = add_noise(values, np.array([0.0, 0.0, 3.0, 0.0]), np.full(4, 0.9))
+    kept = [0, 1, 3]
+    assert np.array_equal(out[kept].view(np.uint64), values[kept].view(np.uint64))
+    assert out[2] == -2.25 + laplace_quantile(0.9, 3.0)
 
 
-def test_laplace_query_validates():
-    with pytest.raises(ValidationError):
-        laplace_query(1.0, 0.0, 1.0, substream(0))
-    with pytest.raises(ValidationError):
-        laplace_query(1.0, 1.0, -2.0, substream(0))
+def test_add_noise_validates():
+    for bad in (-1.0, math.nan, np.array([1.0, -0.5]), np.array([math.nan, 1.0])):
+        with pytest.raises(ValidationError, match="scale"):
+            add_noise(np.zeros(np.shape(bad)), bad, np.full(np.shape(bad), 0.3))
+    with pytest.raises(ValidationError, match="required"):
+        add_noise(np.zeros(3), 1.0, None)
+    with pytest.raises(ValidationError, match="shape"):
+        add_noise(np.zeros(3), 1.0, np.full(2, 0.3))
+    with pytest.raises(ValidationError, match="shape"):
+        add_noise(1.0, 1.0, np.full(1, 0.3))
 
 
-def test_laplace_query_tail_probability():
+def test_add_noise_array_matches_scalar_calls_bit_for_bit():
+    # The estimators noise all users in one call; each user must get the
+    # bytes a call of its own would give (vectorized np.log included).
+    n = 20_000
+    values = substream(13, "values").normal(0.0, 50.0, n)
+    scales = substream(13, "scales").exponential(4.0, n)
+    scales[::7] = 0.0
+    u = substream(13, "u").random(n)
+    u[:3] = (0.0, 0.5, np.nextafter(1.0, 0.0))
+    batch = add_noise(values, scales, u)
+    single = np.array([add_noise(v, s, x) for v, s, x in zip(values, scales, u)])
+    assert np.array_equal(batch.view(np.uint64), single.view(np.uint64))
+
+
+def test_add_noise_tail_probability():
     # P(|out - value| >= ln(n/zeta)/eps) = zeta/n for sensitivity 1
     n, zeta, eps = 100, 0.1, 1.0
     thr = math.log(n / zeta) / eps
-    rng = substream(11, "tail")
-    devs = np.abs(sample_laplace(1.0 / eps, rng, size=10**6))
+    u = substream(11, "tail").random(10**6)
+    devs = np.abs(add_noise(np.zeros(10**6), 1.0 / eps, u))
     emp = np.mean(devs >= thr)
     expected = zeta / n
     sigma = math.sqrt(expected * (1 - expected) / 10**6)
@@ -94,12 +118,13 @@ def test_rr_keep_probability_values():
 
 
 def test_rr_flip_frequencies():
-    rng = substream(5, "rr")
     ones = np.ones(10**5, dtype=np.uint8)
-    kept = randomize_response_row(ones, math.log(3), rng).mean()
+    u = substream(5, "rr").random(10**5)
+    kept = randomize_response_row(ones, math.log(3), u).mean()
     assert abs(kept - 0.75) <= 0.01
     zeros = np.zeros(10**5, dtype=np.uint8)
-    raised = randomize_response_row(zeros, 1.0, substream(5, "rr0")).mean()
+    u = substream(5, "rr0").random(10**5)
+    raised = randomize_response_row(zeros, 1.0, u).mean()
     assert abs(raised - 1.0 / (1.0 + math.e)) <= 0.01
 
 
@@ -109,13 +134,24 @@ def test_rr_identity_at_infinite_budget():
     assert np.array_equal(out, bits)
 
 
+def test_rr_needs_one_draw_per_bit():
+    bits = np.zeros(4, dtype=np.uint8)
+    with pytest.raises(ValidationError, match="required"):
+        randomize_response_row(bits, 1.0)
+    with pytest.raises(ValidationError, match="shape"):
+        randomize_response_row(bits, 1.0, np.full(3, 0.5))
+    # a draw below the flip probability 1/(1+e) flips its bit
+    out = randomize_response_row(bits, 1.0, np.array([0.0, 0.26, 0.27, 0.99]))
+    assert out.tolist() == [1, 1, 0, 0]
+
+
 def test_rr_flip_probability_uniform_across_positions():
     # chi-square over per-position flip counts
     width, rows = 20, 5000
-    rng = substream(9, "chi")
+    u = substream(9, "chi").random((rows, width))
     flips = np.zeros(width)
-    for _ in range(rows):
-        out = randomize_response_row(np.zeros(width, dtype=np.uint8), 1.0, rng)
+    for r in range(rows):
+        out = randomize_response_row(np.zeros(width, dtype=np.uint8), 1.0, u[r])
         flips += out
     assert sps.chisquare(flips).pvalue > 0.01
 
@@ -148,6 +184,21 @@ def test_unbias_span_and_variance():
     assert unbias_variance(INF) == 0.0
 
 
+def test_unbias_past_exp_overflow_takes_the_limit():
+    # e^eps overflows a double above eps = ln(DBL_MAX) ~ 709.78; the
+    # correction is then the identity, exactly as at eps=inf
+    bits = np.array([0, 1, 1], dtype=np.uint8)
+    for eps in (709.79, 800.0, 1e6):
+        assert unbias(bits, eps).tolist() == [0.0, 1.0, 1.0]
+        assert unbias(1, eps) == 1.0
+        assert unbias_span(eps) == 1.0
+    assert unbias(1, 709.78) == 1.0 and -1e-300 < unbias(0, 709.78) < 0.0
+    # the variance stays finite where (e^eps - 1)^2 overflows, above ~355
+    for eps in (355.0, 400.0, 700.0):
+        assert 0.0 < unbias_variance(eps) < 1e-150
+    assert unbias_variance(800.0) == 0.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(eps=st.floats(0.05, 8.0), a=st.integers(0, 1))
 def test_unbias_is_exactly_unbiased(eps, a):
@@ -160,8 +211,8 @@ def test_unbias_is_exactly_unbiased(eps, a):
 
 def test_unbias_empirical_mean_and_variance():
     eps = 1.0
-    rng = substream(21, "ub")
-    bits = randomize_response_row(np.ones(10**5, dtype=np.uint8), eps, rng)
+    u = substream(21, "ub").random(10**5)
+    bits = randomize_response_row(np.ones(10**5, dtype=np.uint8), eps, u)
     vals = np.where(bits == 1, unbias(1, eps), unbias(0, eps))
     assert abs(vals.mean() - 1.0) <= 0.02
     assert abs(vals.var() / unbias_variance(eps) - 1.0) <= 0.05

@@ -158,7 +158,7 @@ def test_ordered_structure_constants_reported():
     # degeneracy^3*n (monotone 4-cycles); print the measured constants on a
     # preferentially-attached graph after one noisy-degree ordering.
     g = gen_ba(200, 2, seed=4)
-    ordering = get_ordering(g, 1.0, np.random.default_rng(0))
+    ordering = get_ordering(g, 1.0, np.random.default_rng(0).random(g.n))
     h = apply_ordering(g, ordering)
     from ldpcount import degeneracy
 

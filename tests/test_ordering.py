@@ -47,29 +47,29 @@ def test_exact_mode_equal_degrees_gives_identity():
 def test_rejects_nonpositive_eps0():
     g = star_graph(4)
     with pytest.raises(ValidationError):
-        get_ordering(g, 0.0, substream(0))
+        get_ordering(g, 0.0, substream(0).random(g.n))
     with pytest.raises(ValidationError):
-        get_ordering(g, -1.0, substream(0))
+        get_ordering(g, -1.0, substream(0).random(g.n))
     with pytest.raises(ValidationError):
         get_ordering(g, 1.0, None)
 
 
 def test_per_user_generator_list():
     g = gen_er(10, 0.3, seed=2)
-    gens = [substream(3, 0, 0, i) for i in range(10)]
-    a = get_ordering(g, 1.0, gens)
-    b = get_ordering(g, 1.0, [substream(3, 0, 0, i) for i in range(10)])
+    u = np.array([substream(3, 0, 0, i).random() for i in range(10)])
+    a = get_ordering(g, 1.0, u)
+    b = get_ordering(g, 1.0, [substream(3, 0, 0, i).random() for i in range(10)])
     assert np.array_equal(a.phi, b.phi)
     assert np.array_equal(a.noisy_degrees, b.noisy_degrees)
     with pytest.raises(ValidationError):
-        get_ordering(g, 1.0, gens[:5])
+        get_ordering(g, 1.0, u[:5])
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 20), seed=st.integers(0, 10**6))
 def test_phi_is_always_a_permutation(n, seed):
     g = gen_er(n, 0.3, seed)
-    o = get_ordering(g, 0.7, substream(seed, "phi"))
+    o = get_ordering(g, 0.7, substream(seed, "phi").random(n))
     assert sorted(o.phi) == list(range(n))
 
 
@@ -97,7 +97,7 @@ def test_apply_ordering_size_mismatch():
 
 def test_ordering_json_round_trip():
     g = gen_er(8, 0.4, seed=1)
-    o = get_ordering(g, 1.5, substream(5, "json"))
+    o = get_ordering(g, 1.5, substream(5, "json").random(g.n))
     doc = o.to_json_dict()
     back = NodeOrdering.from_json_dict(doc)
     assert np.array_equal(back.phi, o.phi)
@@ -113,7 +113,7 @@ def test_degree_deviation_bound_small_scale():
     thr = math.log(g.n / zeta) / eps0
     fails = 0
     for r in range(runs):
-        o = get_ordering(g, eps0, substream(17, "dev", r))
+        o = get_ordering(g, eps0, substream(17, "dev", r).random(g.n))
         if np.max(np.abs(o.noisy_degrees - g.degrees)) >= thr:
             fails += 1
     frac = fails / runs
@@ -128,7 +128,7 @@ def test_noisy_degree_expected_low2star_bound():
     eps0, runs = 1.0, 200
     vals = np.empty(runs)
     for r in range(runs):
-        o = get_ordering(g, eps0, substream(23, "s2", r))
+        o = get_ordering(g, eps0, substream(23, "s2", r).random(g.n))
         vals[r] = count_low2stars(apply_ordering(g, o))
     stderr = vals.std(ddof=1) / math.sqrt(runs)
     assert vals.mean() <= s.chiba_sum + s.m / eps0 + 3 * stderr
@@ -143,7 +143,7 @@ def test_low_degree_ordering_beats_random_on_average():
     rand = np.empty(runs)
     rng = substream(31, "perm")
     for r in range(runs):
-        o = get_ordering(g, 1.0, substream(31, "ord", r))
+        o = get_ordering(g, 1.0, substream(31, "ord", r).random(g.n))
         ours[r] = count_low2stars(apply_ordering(g, o))
         rand[r] = count_low2stars(relabel(g, rng.permutation(g.n)))
     print(f"low2stars mean: ordered {ours.mean():.1f} vs random {rand.mean():.1f}")

@@ -84,7 +84,7 @@ def test_user_noise_scale_formula():
     scale = 3.0 * 2.0 * d_hat / eps2
     draws = np.array(
         [
-            user_triangle_noise(0.0, d_hat, eps1, eps2, substream(5, "n", i))
+            user_triangle_noise(0.0, d_hat, eps1, eps2, substream(5, "n", i).random())
             for i in range(10**5)
         ]
     )
