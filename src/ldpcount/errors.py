@@ -16,4 +16,4 @@ class ValidationError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Instance is too large for desk-scale exact enumeration."""
+    """Instance is too large for desk scale: exact enumeration or dense matrices."""

@@ -75,15 +75,6 @@ class Graph:
     def adj_sets(self) -> tuple[frozenset, ...]:
         return tuple(frozenset(a) for a in self.adj)
 
-    @cached_property
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.uint8)
-        for u, v in self.edges:
-            a[u, v] = 1
-            a[v, u] = 1
-        a.flags.writeable = False
-        return a
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj_sets[u]
 
@@ -91,17 +82,17 @@ class Graph:
 def load_edge_list(source: str | IO[str]) -> Graph:
     """Parse whitespace-separated "u v" lines into a graph.
 
-    Lines starting with ``#`` are comments, blank lines are skipped.  Node
-    ids are mapped verbatim (no compaction); unused ids below the maximum
-    only raise a warning and become isolated nodes.
+    ``#`` starts a comment that runs to the end of its line, and lines left
+    blank are skipped.  Node ids are mapped verbatim (no compaction); unused
+    ids below the maximum only raise a warning and become isolated nodes.
     """
     text = source if isinstance(source, str) else source.read()
     pairs: list[tuple[int, int]] = []
     first_line: dict[tuple[int, int], int] = {}
     seen_ids: set[int] = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         parts = line.split()
         if len(parts) != 2:

@@ -19,7 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
+from .graphs import Graph
 
 INF = math.inf
 
@@ -29,6 +30,9 @@ STAGE_RR = 1
 STAGE_COUNT = 2
 
 BUDGET_SLACK = 1e-12
+
+# Bound on the server's dense matrices: 9*n*n bytes, the bits plus unbiased.
+DENSE_BYTES_LIMIT = 4 * 2**30
 
 # Largest eps whose exp is finite; above it unbias takes its eps=inf limit.
 _MAX_EXP_ARG = math.log(sys.float_info.max)
@@ -158,21 +162,30 @@ class ObfuscatedGraph:
         return a
 
 
-def assemble_obfuscated(rows, eps: float) -> ObfuscatedGraph:
-    """Mirror per-user lower-triangle reports into a symmetric matrix.
+def assemble_obfuscated(graph: Graph, eps: float, u_rows=None) -> ObfuscatedGraph:
+    """Mirror every user's randomized-response report into one symmetric matrix.
 
-    ``rows[i]`` must hold user i's randomized bits for partners j < i, so
-    each unordered pair is reported exactly once.
+    User i reports i bits, bit j being edge (j, i), so each pair is reported
+    once.  At finite eps ``u_rows`` yields user i's i uniform draws for
+    i = 0..n-1; a generator keeps one row alive at a time.  Unused at eps=inf.
     """
-    n = len(rows)
+    n = graph.n
+    if 9 * n * n > DENSE_BYTES_LIMIT:
+        raise ResourceLimitError(
+            f"n={n} needs {9 * n * n} dense bytes > DENSE_BYTES_LIMIT; shrink n"
+        )
     bits = np.zeros((n, n), dtype=np.uint8)
-    for i, row in enumerate(rows):
-        row = np.asarray(row, dtype=np.uint8)
-        if row.shape != (i,):
-            raise ValidationError(
-                f"user {i} must report exactly {i} bits, got shape {row.shape}"
-            )
-        bits[i, :i] = row
+    edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+    bits[edges[:, 1], edges[:, 0]] = 1
+    if eps != INF:
+        rows = iter(() if u_rows is None else u_rows)
+        for i in range(n):
+            try:
+                bits[i, :i] = randomize_response_row(bits[i, :i], eps, next(rows, None))
+            except ValidationError as exc:
+                raise ValidationError(f"user {i}: {exc}") from None
+        if next(rows, None) is not None:
+            raise ValidationError(f"u_rows yields more than {n} rows, one per user")
     bits = bits + bits.T
     return ObfuscatedGraph(bits=bits, eps=eps)
 

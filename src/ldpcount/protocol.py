@@ -24,7 +24,6 @@ from .mechanisms import (
     assemble_obfuscated,
     laplace_quantile,
     project_mu,
-    randomize_response_row,
     substream,
 )
 from .ordering import NodeOrdering, apply_ordering, get_ordering
@@ -167,16 +166,11 @@ def run_ordered_stage(
     noisy_by_rank = np.empty(n, dtype=np.float64)
     noisy_by_rank[ordering.phi] = ordering.noisy_degrees
 
-    rows = []
-    for i in range(n):
-        bits = np.zeros(i, dtype=np.uint8)
-        bits[list(split_forks(reordered.adj[i], i)[0])] = 1
-        if eps1 != INF:
-            bits = randomize_response_row(
-                bits, eps1, substream(seed, trial, STAGE_RR, i).random(i)
-            )
-        rows.append(bits)
-    obf = assemble_obfuscated(rows, eps1)
+    u_rows = None
+    if eps1 != INF:
+        # lazy: all rows at once would be n*n/2 float64 draws
+        u_rows = (substream(seed, trial, STAGE_RR, i).random(i) for i in range(n))
+    obf = assemble_obfuscated(reordered, eps1, u_rows)
 
     d_hat = clipped_degree(noisy_by_rank, eps0, n, zeta)
     floors = np.floor(d_hat)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ldpcount import derive_seed, experiments, substream
+from ldpcount import derive_seed, experiments, mechanisms, substream
 from ldpcount.cli import main
 
 BUDGET = ("--eps0", ".5", "--eps1", "1", "--eps2", "1")
@@ -196,6 +196,18 @@ def test_resource_limit_exit_2(capsys):
     code, _, err = run_cli(capsys, "count-exact", "--gen", "er:40:0.6",
                            "--cycles", "10")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("estimate-triangles",), ("estimate-cycles", "--k", "5")],
+    ids=["estimate-triangles", "estimate-cycles"],
+)
+def test_dense_limit_exit_2(monkeypatch, capsys, command):
+    monkeypatch.setattr(mechanisms, "DENSE_BYTES_LIMIT", 9 * 100 * 100 - 1)
+    code, out, err = run_cli(capsys, *command, "--gen", "ba:100:3", *BUDGET)
+    assert code == 2
+    assert "DENSE_BYTES_LIMIT" in err and out == ""
 
 
 @pytest.mark.parametrize("command", ["experiment", "error-scaling"])

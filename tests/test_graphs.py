@@ -33,6 +33,8 @@ def test_load_basic_path():
 def test_load_comments_and_blanks():
     g = load_edge_list("# a comment\n\n0 1\n  \n# trailing\n1 2\n")
     assert (g.n, g.m) == (3, 2)
+    g = load_edge_list("0 1  # note\n")
+    assert g.edges == ((0, 1),)
 
 
 def test_load_self_loop_rejected():

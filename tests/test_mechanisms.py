@@ -8,10 +8,14 @@ from scipy import stats as sps
 
 from ldpcount import (
     PrivacyBudget,
+    ResourceLimitError,
     ValidationError,
     assemble_obfuscated,
     check_budget,
     derive_seed,
+    estimate_odd_cycles,
+    estimate_triangles,
+    gen_ba,
     gen_er,
     project_mu,
     randomize_response_row,
@@ -21,6 +25,7 @@ from ldpcount import (
     unbias_span,
     unbias_variance,
 )
+from ldpcount import mechanisms
 from ldpcount.mechanisms import ObfuscatedGraph, laplace_quantile, rr_keep_probability
 from ldpcount.protocol import add_noise
 
@@ -222,36 +227,71 @@ def test_unbias_empirical_mean_and_variance():
 
 
 def test_assemble_symmetric_zero_diagonal():
-    rng = substream(3, "asm")
-    rows = [rng.integers(0, 2, size=i).astype(np.uint8) for i in range(6)]
-    obf = assemble_obfuscated(rows, 1.0)
+    # reference: user i's report built straight from the edge set, bit j
+    # for edge (j, i), randomized with user i's own draws
+    g = gen_er(15, 0.4, seed=8)
+    draws = [substream(3, "asm", i).random(i) for i in range(g.n)]
+    obf = assemble_obfuscated(g, 1.0, iter(draws))
+    edges = set(g.edges)
+    expected = np.zeros((g.n, g.n), dtype=np.uint8)
+    for i in range(g.n):
+        truth = np.array([(j, i) in edges for j in range(i)], dtype=np.uint8)
+        expected[i, :i] = randomize_response_row(truth, 1.0, draws[i])
+    expected = expected + expected.T
+    assert np.array_equal(obf.bits, expected)
     assert np.array_equal(obf.bits, obf.bits.T)
-    assert np.all(np.diag(obf.bits) == 0)
+    assert not obf.bits.diagonal().any()
+    assert not np.array_equal(obf.bits, assemble_obfuscated(g, INF).bits)
 
 
 def test_assemble_rejects_missing_rows():
-    with pytest.raises(ValidationError, match="user 1"):
-        assemble_obfuscated([np.zeros(0, np.uint8), np.zeros(3, np.uint8)], 1.0)
+    g = gen_er(6, 0.5, seed=1)
+    draws = [np.full(i, 0.5) for i in range(g.n)]
+    assert assemble_obfuscated(g, 1.0, iter(draws)).n == 6
+    with pytest.raises(ValidationError, match="user 5: .*required"):
+        assemble_obfuscated(g, 1.0, iter(draws[:-1]))
+    with pytest.raises(ValidationError, match="more than 6 rows"):
+        assemble_obfuscated(g, 1.0, iter(draws + [np.full(6, 0.5)]))
+    wrong = draws[:3] + [np.full(2, 0.5)] + draws[4:]
+    with pytest.raises(ValidationError, match=r"user 3: .*shape \(3,\)"):
+        assemble_obfuscated(g, 1.0, iter(wrong))
+    with pytest.raises(ValidationError, match="user 0: .*required"):
+        assemble_obfuscated(g, 1.0)
 
 
 def test_assemble_identity_matches_adjacency():
     g = gen_er(12, 0.4, seed=8)
-    rows = []
-    for i in range(g.n):
-        bits = np.zeros(i, dtype=np.uint8)
-        for j in g.adj[i]:
-            if j < i:
-                bits[j] = 1
-        rows.append(randomize_response_row(bits, INF))
-    obf = assemble_obfuscated(rows, INF)
-    assert np.array_equal(obf.bits, g.adjacency_matrix)
-    assert np.array_equal(obf.unbiased, g.adjacency_matrix.astype(float))
+    obf = assemble_obfuscated(g, INF)
+    assert [tuple(e) for e in np.argwhere(np.triu(obf.bits)).tolist()] == list(g.edges)
+    assert np.array_equal(obf.bits, obf.bits.T)
+    assert np.array_equal(obf.unbiased, obf.bits.astype(float))
+
+
+def test_dense_limit_refuses_before_allocating(monkeypatch):
+    g = gen_ba(100, 3, seed=1)
+    b = PrivacyBudget(0.5, 1.0, 1.0, 0.05)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work done past the dense limit")
+
+    monkeypatch.setattr(mechanisms, "DENSE_BYTES_LIMIT", 9 * 100 * 100 - 1)
+    with monkeypatch.context() as m:
+        m.setattr(mechanisms.np, "zeros", must_not_run)
+        m.setattr(mechanisms, "randomize_response_row", must_not_run)
+        with pytest.raises(ResourceLimitError, match="n=100"):
+            assemble_obfuscated(g, 1.0, iter([]))
+    with pytest.raises(ResourceLimitError, match="DENSE_BYTES_LIMIT"):
+        estimate_triangles(g, b, seed=0)
+    with pytest.raises(ResourceLimitError, match="DENSE_BYTES_LIMIT"):
+        estimate_odd_cycles(g, 5, b, seed=0)
+    monkeypatch.setattr(mechanisms, "DENSE_BYTES_LIMIT", 9 * 100 * 100)
+    assert assemble_obfuscated(g, INF).n == 100
 
 
 def test_unbiased_matrix_takes_two_values_off_diagonal():
-    rng = substream(4, "two")
-    rows = [rng.integers(0, 2, size=i).astype(np.uint8) for i in range(8)]
-    obf = assemble_obfuscated(rows, 1.3)
+    g = gen_er(8, 0.5, seed=4)
+    u_rows = (substream(4, "two", i).random(i) for i in range(g.n))
+    obf = assemble_obfuscated(g, 1.3, u_rows)
     off = obf.unbiased[~np.eye(8, dtype=bool)]
     assert set(np.round(off, 12)) <= {
         round(unbias(0, 1.3), 12),
