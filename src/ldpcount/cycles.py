@@ -69,13 +69,14 @@ def canonical_cycle(seq: tuple[int, ...]) -> tuple[int, ...]:
     return rot
 
 
-def _triple_ok(u: int, v: int, w: int, i: int) -> bool:
-    # Admissibility: a monotone consecutive triple may only have its center
-    # ranked above the counting node, else a lower-ranked center would count
-    # the same cycle again.
-    if (u < v < w) or (u > v > w):
-        return v > i
-    return True
+def admissible(u, v, w, i):
+    """Whether the consecutive triple (u, v, w) may lie on a cycle user i counts.
+
+    A monotone triple needs its center ranked above i, else a lower-ranked
+    center would count the same cycle again.  Elementwise on arrays; valid on
+    distinct vertices, where (u < v) == (v < w) means monotone.
+    """
+    return ((u < v) != (v < w)) | (v > i)
 
 
 def _admissible_sum_dfs(
@@ -83,17 +84,18 @@ def _admissible_sum_dfs(
     j: int,
     kappa: int,
     k: int,
-    ahat: np.ndarray,
+    rows,
     collector: dict | None = None,
 ) -> float:
     """Enumerate distinct-vertex tuples from j to kappa, k-2 edges long.
 
-    Products with a zero factor are pruned, which makes the no-noise mode
-    walk only real edges.  ``collector`` (no-noise instrumentation) counts
-    each tuple with product exactly 1 under its canonical cycle key.
+    ``rows`` is the unbiased matrix read as rows[u][v]; Python rows
+    (``ahat.tolist()``) are the fast form.  Products with a zero factor are
+    pruned, which makes the no-noise mode walk only real edges.
+    ``collector`` (no-noise instrumentation) counts each tuple with product
+    exactly 1 under its canonical cycle key.
     """
-    n = ahat.shape[0]
-    used = bytearray(n)
+    used = bytearray(len(rows))
     used[i] = used[j] = used[kappa] = 1
     path = [j]
     total = 0.0
@@ -101,25 +103,21 @@ def _admissible_sum_dfs(
     def extend(prev2: int, prev1: int, prod: float) -> None:
         nonlocal total
         if len(path) == k - 2:
-            p = prod * ahat[prev1, kappa]
-            if p == 0.0:
-                return
-            if not _triple_ok(prev2, prev1, kappa, i):
-                return
-            if not _triple_ok(prev1, kappa, i, i):
+            p = prod * rows[prev1][kappa]
+            if p == 0.0 or not (
+                admissible(prev2, prev1, kappa, i) and admissible(prev1, kappa, i, i)
+            ):
                 return
             total += p
             if collector is not None and p == 1.0:
                 key = canonical_cycle((i, *path, kappa))
                 collector[key] = collector.get(key, 0) + 1
             return
-        for v in range(n):
+        for v, entry in enumerate(rows[prev1]):
             if used[v]:
                 continue
-            p = prod * ahat[prev1, v]
-            if p == 0.0:
-                continue
-            if not _triple_ok(prev2, prev1, v, i):
+            p = prod * entry
+            if p == 0.0 or not admissible(prev2, prev1, v, i):
                 continue
             used[v] = 1
             path.append(v)
@@ -132,22 +130,15 @@ def _admissible_sum_dfs(
 
 
 def _admissible_sum_k5_grid(i: int, j: int, kappa: int, ahat: np.ndarray) -> float:
-    """Vectorized k=5 case: sum over the (l2, l3) grid with masked triples."""
-    n = ahat.shape[0]
-    ids = np.arange(n)
-    # triple (i, j, l2) is monotone only as i > j > l2, so l2 < j is out
-    valid2 = (ids > j) & (ids != i) & (ids != kappa)
-    valid3 = (ids != i) & (ids != j) & (ids != kappa)
-    allowed = np.outer(valid2, valid3)
+    """Vectorized k=5 case: cycles (i, j, l2, l3, kappa) over the (l2, l3) grid."""
+    ids = np.arange(ahat.shape[0])
+    # distinct vertices: l2 and l3 outside {i, j, kappa}, and l2 != l3
+    outside = (ids != i) & (ids != j) & (ids != kappa)
+    allowed = np.outer(outside, outside)
     np.fill_diagonal(allowed, False)
-    l2 = ids[:, None]
-    l3 = ids[None, :]
-    # triple (j, l2, l3): with l2 > j it is monotone iff l2 < l3
-    allowed &= ~((l2 < l3) & (l2 < i))
-    # triple (l2, l3, kappa)
-    mono = ((l2 < l3) & (l3 < kappa)) | ((l2 > l3) & (l3 > kappa))
-    allowed &= ~(mono & (l3 < i))
-    # triple (l3, kappa, i) cannot be monotone with a center below i
+    cycle = (i, j, ids[:, None], ids[None, :], kappa, i)
+    for u, v, w in zip(cycle, cycle[1:], cycle[2:]):
+        allowed &= admissible(u, v, w, i)
     weights = np.multiply.outer(ahat[j], ahat[:, kappa]) * ahat
     return float(weights[allowed].sum())
 
@@ -168,13 +159,15 @@ def user_cycle_estimate(
         return 0.0
     _check_path_tuples(fork_count, obf.n, k, f"user {i}")
     ahat = obf.unbiased
+    grid = k == 5 and collector is None
+    rows = None if grid else ahat.tolist()
     total = 0.0
     for j in below:
         for kappa in above:
-            if k == 5 and collector is None:
+            if grid:
                 total += _admissible_sum_k5_grid(i, j, kappa, ahat)
             else:
-                total += _admissible_sum_dfs(i, j, kappa, k, ahat, collector)
+                total += _admissible_sum_dfs(i, j, kappa, k, rows, collector)
     return total
 
 

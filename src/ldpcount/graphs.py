@@ -130,17 +130,22 @@ def dump_edge_list(graph: Graph) -> str:
 
 
 def gen_er(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi G(n, p): each unordered pair kept independently."""
+    """Erdos-Renyi G(n, p): each unordered pair kept independently.
+
+    Pairs (u, v), u < v, take one uniform draw each in row-major order,
+    drawn one row u at a time: memory is O(n + m), but time is still
+    O(n^2) draws.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"edge probability must be in [0, 1], got {p}")
     if n < 0:
         raise ValidationError(f"node count must be >= 0, got {n}")
-    if n < 2:
-        return Graph.from_edges(n, [])
     rng = np.random.default_rng(seed)
-    iu, jv = np.triu_indices(n, k=1)
-    keep = rng.random(iu.size) < p
-    return Graph.from_edges(n, zip(iu[keep].tolist(), jv[keep].tolist()))
+    edges: list[tuple[int, int]] = []
+    for u in range(n - 1):
+        kept = np.flatnonzero(rng.random(n - 1 - u) < p) + (u + 1)
+        edges.extend((u, v) for v in kept.tolist())
+    return Graph.from_edges(n, edges)
 
 
 def gen_ba(n: int, m0: int, seed: int) -> Graph:

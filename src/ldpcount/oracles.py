@@ -1,14 +1,13 @@
 """Exact brute-force subgraph counters used as ground truth.
 
-Everything here enumerates explicitly and is meant for desk-scale inputs;
-a shared step counter aborts with ResourceLimitError once 1e8 partial
-paths have been visited.
+Everything here enumerates explicitly and is meant for desk-scale inputs.
+Cycles, paths and monotone cycles share one simple-path walker, which
+aborts with ResourceLimitError once 1e8 partial paths have been visited.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterator
 
 from .errors import ResourceLimitError, ValidationError
@@ -30,13 +29,43 @@ def count_triangles(graph: Graph) -> int:
     return total
 
 
-def _step(counter: list[int]) -> None:
-    counter[0] += 1
-    if counter[0] > PARTIAL_PATH_LIMIT:
-        raise ResourceLimitError(
-            f"enumeration exceeded {PARTIAL_PATH_LIMIT} partial paths; "
-            "shrink the instance"
-        )
+def _simple_paths(graph: Graph, edges: int, rising: bool) -> Iterator[list[int]]:
+    """Yield every simple path with ``edges`` edges, start vertex ascending.
+
+    With ``rising`` every later vertex must exceed the start.  The yielded
+    list is the walker's own and changes as it goes on.  Each neighbor
+    scanned is one partial path; more than PARTIAL_PATH_LIMIT of them
+    raises ResourceLimitError.
+    """
+    steps = 0
+    adj = graph.adj
+    on_path = bytearray(graph.n)
+    for s in range(graph.n):
+        path = [s]
+        on_path[s] = 1
+        # one iterator over the unscanned neighbors of each path vertex
+        frontier = [iter(adj[s])]
+        while frontier:
+            for w in frontier[-1]:
+                steps += 1
+                if steps > PARTIAL_PATH_LIMIT:
+                    raise ResourceLimitError(
+                        f"enumeration exceeded {PARTIAL_PATH_LIMIT} partial paths; "
+                        "shrink the instance"
+                    )
+                if on_path[w] or (rising and w < s):
+                    continue
+                path.append(w)
+                if len(path) > edges:
+                    yield path
+                    path.pop()
+                    continue
+                on_path[w] = 1
+                frontier.append(iter(adj[w]))
+                break
+            else:
+                frontier.pop()
+                on_path[path.pop()] = 0
 
 
 def enumerate_cycles(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
@@ -51,31 +80,10 @@ def enumerate_cycles(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
         raise ResourceLimitError(
             f"cycle length {k} exceeds the desk-scale cap of {MAX_CYCLE_LENGTH}"
         )
-    counter = [0]
-    path: list[int] = []
-    on_path: set[int] = set()
-    adj = graph.adj
     adj_sets = graph.adj_sets
-
-    def extend(start: int) -> Iterator[tuple[int, ...]]:
-        last = path[-1]
-        if len(path) == k:
-            if start in adj_sets[last] and path[1] < path[-1]:
-                yield tuple(path)
-            return
-        for w in adj[last]:
-            _step(counter)
-            if w > start and w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                yield from extend(start)
-                path.pop()
-                on_path.remove(w)
-
-    for s in range(graph.n):
-        path[:] = [s]
-        on_path = {s}
-        yield from extend(s)
+    for path in _simple_paths(graph, k - 1, rising=True):
+        if path[1] < path[-1] and path[0] in adj_sets[path[-1]]:
+            yield tuple(path)
 
 
 def count_cycles(graph: Graph, k: int) -> int:
@@ -87,32 +95,8 @@ def count_paths(graph: Graph, k: int) -> int:
     """Number of simple paths with k edges, endpoint-unordered."""
     if k < 1:
         raise ValidationError(f"path edge count must be >= 1, got {k}")
-    counter = [0]
-    adj = graph.adj
-    total = 0
-    path: list[int] = []
-    on_path: set[int] = set()
-
-    def extend(start: int) -> int:
-        found = 0
-        last = path[-1]
-        if len(path) == k + 1:
-            return 1 if start < last else 0
-        for w in adj[last]:
-            _step(counter)
-            if w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                found += extend(start)
-                path.pop()
-                on_path.remove(w)
-        return found
-
-    for s in range(graph.n):
-        path[:] = [s]
-        on_path = {s}
-        total += extend(s)
-    return total
+    paths = _simple_paths(graph, k, rising=False)
+    return sum(1 for path in paths if path[0] < path[-1])
 
 
 def count_low2stars(graph: Graph) -> int:
@@ -137,36 +121,14 @@ def has_monotone_triple(cycle: tuple[int, ...]) -> bool:
     return False
 
 
-def _monotone_4cycles(graph: Graph) -> int:
-    # Each 4-cycle (u, x, w, y) has diagonals {u, w} and {x, y}; counting only
-    # u < w, x < y, u < x visits every 4-cycle exactly once.
-    total = 0
-    for u in range(graph.n):
-        common: dict[int, list[int]] = {}
-        for x in graph.adj[u]:
-            for w in graph.adj[x]:
-                if w > u:
-                    common.setdefault(w, []).append(x)
-        for w, xs in common.items():
-            if len(xs) < 2:
-                continue
-            for x, y in combinations(xs, 2):  # xs ascending, so x < y
-                if u < x and has_monotone_triple((u, x, w, y)):
-                    total += 1
-    return total
-
-
 def count_monotone_cycles(graph: Graph, length: int) -> int:
     """Even-length cycles containing at least one monotone consecutive triple.
 
-    Ordering-sensitive: node ids must already be the ranks.  The length-4
-    case uses a diagonal-pair enumeration; both routes are cross-checked in
-    the test suite.
+    Ordering-sensitive: node ids must already be the ranks.  Every length
+    filters the cycles of ``enumerate_cycles``.
     """
     if length % 2 != 0 or length < 4:
         raise ValidationError(f"length must be even and >= 4, got {length}")
-    if length == 4:
-        return _monotone_4cycles(graph)
     return sum(1 for c in enumerate_cycles(graph, length) if has_monotone_triple(c))
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ldpcount import derive_seed, experiments, mechanisms, substream
+from ldpcount import derive_seed, experiments, mechanisms, oracles, substream
 from ldpcount.cli import main
 
 BUDGET = ("--eps0", ".5", "--eps1", "1", "--eps2", "1")
@@ -208,6 +208,13 @@ def test_dense_limit_exit_2(monkeypatch, capsys, command):
     code, out, err = run_cli(capsys, *command, "--gen", "ba:100:3", *BUDGET)
     assert code == 2
     assert "DENSE_BYTES_LIMIT" in err and out == ""
+
+
+def test_partial_path_limit_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(oracles, "PARTIAL_PATH_LIMIT", 50)
+    code, out, err = run_cli(capsys, "count-exact", "--gen", "ba:40:3", "--cycles", "5")
+    assert code == 2
+    assert "partial paths" in err and out == ""
 
 
 @pytest.mark.parametrize("command", ["experiment", "error-scaling"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from ldpcount import (
     user_cycle_noise,
 )
 from ldpcount import cycles, derive_seed, make_graph
-from ldpcount.cycles import _admissible_sum_dfs, canonical_cycle
+from ldpcount.cycles import _admissible_sum_dfs, admissible, canonical_cycle
 from ldpcount.mechanisms import assemble_obfuscated
 from ldpcount.oracles import count_cycles, enumerate_cycles
 
@@ -93,6 +94,16 @@ def test_petersen_5_cycles_no_noise():
     obf = assemble_obfuscated(g, INF)
     total = sum(user_cycle_estimate(i, g.adj[i], obf, 5) for i in range(10))
     assert total == 12.0
+
+
+def test_admissible_matches_its_definition():
+    # a monotone triple needs its center ranked above i
+    triples = list(itertools.permutations(range(6), 3))
+    u, v, w = (np.array(t) for t in zip(*triples))
+    for i in range(6):
+        expected = [not (a < b < c or a > b > c) or b > i for a, b, c in triples]
+        assert [admissible(a, b, c, i) for a, b, c in triples] == expected
+        assert admissible(u, v, w, i).tolist() == expected
 
 
 def test_grid_route_matches_dfs_on_noisy_entries():

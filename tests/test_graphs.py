@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +91,21 @@ def test_gen_er_extremes():
     assert gen_er(5, 1.0, seed=1).m == 10
     with pytest.raises(ValidationError):
         gen_er(5, 1.5, seed=1)
+
+
+def test_gen_er_draws_row_by_row_with_the_same_bytes():
+    # The digest is of the graph that one draw over all n(n-1)/2 pairs gave,
+    # which held about 763 MiB at its peak; row-by-row draws keep it small.
+    tracemalloc.start()
+    try:
+        g = gen_er(8000, 1e-3, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == 32321
+    digest = hashlib.sha256(dump_edge_list(g).encode()).hexdigest()
+    assert digest == "bf9de0760a300502622b1132904b8190f2fe3c94b0203ac59818a0c6acfd0204"
+    assert peak < 32 * 2**20
 
 
 def test_gen_er_edge_count_within_3_sigma():

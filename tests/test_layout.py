@@ -7,6 +7,8 @@ module imports another's private name.
 Mechanisms take uniform draws, not generators: only the code that runs a
 protocol stage builds substreams, so no function takes an ``rng`` except
 ``sample_laplace``, the generator-facing sampler kept for the tests.
+
+A module imports only names it uses; ``__init__.py`` imports to re-export.
 """
 
 import ast
@@ -45,6 +47,19 @@ def rng_parameters(tree: ast.AST, module: str) -> list[str]:
     return found
 
 
+def unused_imports(tree: ast.AST) -> list[str]:
+    """Names bound by an import that the module never reads."""
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
 def test_finds_private_import():
     tree = ast.parse("from .triangles import EstimateReport, _resolve_mode\n")
     assert private_imports(tree) == ["from .triangles import _resolve_mode"]
@@ -68,3 +83,21 @@ def test_only_sample_laplace_takes_a_generator():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += rng_parameters(tree, path.stem)
     assert found == RNG_TAKERS_ALLOWED
+
+
+def test_finds_unused_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "from itertools import combinations, chain\n"
+        "import numpy as np\nimport os.path\n"
+        "x: np.ndarray = chain()\n"
+    )
+    assert unused_imports(tree) == ["combinations", "os"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert unused_imports(tree) == []

@@ -17,6 +17,7 @@ from ldpcount import (
     relabel,
     star_graph,
 )
+from ldpcount import oracles
 from ldpcount.oracles import (
     count_cycles,
     count_low2stars,
@@ -55,6 +56,19 @@ def test_cycles_guards():
         count_cycles(cycle_graph(4), 2)
     with pytest.raises(ResourceLimitError):
         count_cycles(cycle_graph(12), 10)
+
+
+def test_partial_path_guard_trips_on_every_walker_route(monkeypatch):
+    g = complete_graph(6)
+    assert count_cycles(g, 4) == 45 and count_paths(g, 3) == 180
+    monkeypatch.setattr(oracles, "PARTIAL_PATH_LIMIT", 50)
+    for count in (
+        lambda: count_cycles(g, 4),
+        lambda: count_paths(g, 3),
+        lambda: count_monotone_cycles(g, 4),
+    ):
+        with pytest.raises(ResourceLimitError, match="50 partial paths"):
+            count()
 
 
 def test_paths_known():
