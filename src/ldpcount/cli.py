@@ -51,94 +51,116 @@ def _add_budget(p: _Parser) -> None:
                    help="declared total budget; the run is rejected if eps0+eps1+eps2 exceeds it")
 
 
-def _add_run(p: _Parser) -> None:
+def _add_seed_out(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=MODES, default="noisy")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+def _add_run(p: _Parser) -> None:
+    _add_seed_out(p)
+    p.add_argument("--mode", choices=MODES, default="noisy")
+
+
+def _add_trials(p: _Parser) -> None:
+    p.add_argument("--task", choices=TASKS, required=True)
+    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
+    p.add_argument("--threads", type=int, default=1)
+
+
 def build_parser() -> _Parser:
+    """One subparser per command; ``run`` maps the parsed args to its output."""
     parser = _Parser(prog="ldpcount", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-graph", help="write a generated graph as an edge list")
     p.add_argument("--gen", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    _add_seed_out(p)
+    p.set_defaults(run=lambda a: dump_edge_list(load_graph(None, a.gen, a.seed)))
 
     p = sub.add_parser("stats", help="size, degree and degeneracy statistics")
     _add_source(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    _add_seed_out(p)
+    p.set_defaults(run=lambda a: graph_stats(_load_source(a)))
 
     p = sub.add_parser("count-exact", help="exact subgraph counts")
     _add_source(p)
-    p.add_argument("--seed", type=int, default=0)
+    _add_seed_out(p)
     p.add_argument("--cycles", default="", help="comma-separated cycle lengths")
     p.add_argument("--paths", default="", help="comma-separated path edge counts")
     p.add_argument("--monotone", default="", help="comma-separated even cycle lengths")
-    p.add_argument("--out", default=None)
+    p.set_defaults(run=lambda a: exact_counts(
+        _load_source(a),
+        cycle_lengths=_int_list(a.cycles),
+        path_lengths=_int_list(a.paths),
+        monotone_lengths=_int_list(a.monotone),
+    ))
 
     p = sub.add_parser("estimate-triangles", help="one private triangle estimate")
     _add_source(p)
     _add_budget(p)
     _add_run(p)
+    p.set_defaults(run=lambda a: estimate_triangles(
+        _load_source(a), _budget_from(a), a.seed, a.mode
+    ))
 
     p = sub.add_parser("estimate-cycles", help="one private odd-cycle estimate")
     _add_source(p)
     _add_budget(p)
     _add_run(p)
     p.add_argument("--k", type=int, required=True, help="odd cycle length >= 5")
+    p.set_defaults(run=lambda a: estimate_odd_cycles(
+        _load_source(a), a.k, _budget_from(a), a.seed, a.mode
+    ))
 
     p = sub.add_parser("experiment", help="Monte-Carlo trials with summary stats")
     _add_source(p)
     _add_budget(p)
     _add_run(p)
-    p.add_argument("--task", choices=TASKS, required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--threads", type=int, default=1)
+    _add_trials(p)
     p.add_argument("--keep-estimates", action="store_true")
+    p.set_defaults(run=lambda a: run_trials(ExperimentConfig(
+        task=a.task,
+        trials=a.trials,
+        seed=a.seed,
+        mode=a.mode,
+        graph_path=a.graph,
+        gen=a.gen,
+        k=a.k,
+        budget=_budget_from(a),
+        threads=a.threads,
+        keep_estimates=a.keep_estimates,
+    )))
 
     p = sub.add_parser("verify-bounds", help="ordered-structure bound measurements")
     _add_source(p)
+    _add_seed_out(p)
     p.add_argument("--orderings", type=int, required=True)
     p.add_argument("--eps0", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    p.set_defaults(run=lambda a: verify_bounds(
+        _load_source(a), a.orderings, a.eps0, a.seed
+    ))
 
     p = sub.add_parser("error-scaling", help="RMSE vs n and its log-log slope")
     _add_budget(p)
     _add_run(p)
-    p.add_argument("--task", choices=TASKS, required=True)
-    p.add_argument("--k", type=int, default=None)
+    _add_trials(p)
     p.add_argument("--gen", required=True, help="template with {n}, e.g. ba:{n}:3")
     p.add_argument("--sizes", required=True, help="comma-separated node counts")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--threads", type=int, default=1)
+    p.set_defaults(run=lambda a: error_scaling(
+        a.task,
+        a.gen,
+        _int_list(a.sizes),
+        _budget_from(a),
+        a.trials,
+        a.seed,
+        k=a.k,
+        mode=a.mode,
+        threads=a.threads,
+    ))
 
     return parser
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _emit_json(doc: dict, out: str | None) -> None:
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
-
-
-def _emit_table(result, args) -> None:
-    if args.format == "csv":
-        _emit(result.to_csv(), args.out)
-    else:
-        _emit_json(result.to_json_dict(), args.out)
 
 
 def _load_source(args):
@@ -168,60 +190,19 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _run(args) -> None:
-    if args.command == "gen-graph":
-        _emit(dump_edge_list(load_graph(None, args.gen, args.seed)), args.out)
-    elif args.command == "stats":
-        _emit_json(graph_stats(_load_source(args)).to_json_dict(), args.out)
-    elif args.command == "count-exact":
-        counts = exact_counts(
-            _load_source(args),
-            cycle_lengths=_int_list(args.cycles),
-            path_lengths=_int_list(args.paths),
-            monotone_lengths=_int_list(args.monotone),
-        )
-        _emit_json(counts.to_json_dict(), args.out)
-    elif args.command == "estimate-triangles":
-        report = estimate_triangles(
-            _load_source(args), _budget_from(args), args.seed, args.mode
-        )
-        _emit_json(report.to_json_dict(), args.out)
-    elif args.command == "estimate-cycles":
-        report = estimate_odd_cycles(
-            _load_source(args), args.k, _budget_from(args), args.seed, args.mode
-        )
-        _emit_json(report.to_json_dict(), args.out)
-    elif args.command == "experiment":
-        config = ExperimentConfig(
-            task=args.task,
-            trials=args.trials,
-            seed=args.seed,
-            mode=args.mode,
-            graph_path=args.graph,
-            gen=args.gen,
-            k=args.k,
-            budget=_budget_from(args),
-            threads=args.threads,
-            keep_estimates=args.keep_estimates,
-        )
-        _emit_table(run_trials(config), args)
-    elif args.command == "verify-bounds":
-        report = verify_bounds(
-            _load_source(args), args.orderings, args.eps0, args.seed
-        )
-        _emit_json(report.to_json_dict(), args.out)
-    elif args.command == "error-scaling":
-        report = error_scaling(
-            args.task,
-            args.gen,
-            _int_list(args.sizes),
-            _budget_from(args),
-            args.trials,
-            args.seed,
-            k=args.k,
-            mode=args.mode,
-            threads=args.threads,
-        )
-        _emit_table(report, args)
+    """Run the command and write its output: text as is, else CSV or JSON."""
+    result = args.run(args)
+    if isinstance(result, str):
+        text = result
+    elif getattr(args, "format", "json") == "csv":
+        text = result.to_csv()
+    else:
+        text = json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def main(argv=None) -> int:

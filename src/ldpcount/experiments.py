@@ -7,7 +7,6 @@ byte-identical for a fixed configuration.
 
 from __future__ import annotations
 
-import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -16,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .cycles import estimate_odd_cycles, require_odd_k
+from .documents import Document
 from .errors import ValidationError
 from .graphs import Graph, gen_ba, gen_er, gen_ktree, graph_stats, load_edge_list
 from .mechanisms import PrivacyBudget, derive_seed, substream
@@ -86,7 +86,7 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class TrialSummary:
+class TrialSummary(Document):
     """Summary statistics of repeated estimates against the exact count.
 
     ``rmse`` is the empirical l2-error; ``clipped_fraction`` is the share of
@@ -101,13 +101,6 @@ class TrialSummary:
     clipped_fraction: float
     estimates: tuple[float, ...] | None = None
 
-    def to_json_dict(self) -> dict:
-        doc = {"schema": 1}
-        doc.update({c: getattr(self, c) for c in SUMMARY_COLUMNS})
-        if self.estimates is not None:
-            doc["estimates"] = list(self.estimates)
-        return doc
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrialSummary":
         est = doc.get("estimates")
@@ -116,10 +109,11 @@ class TrialSummary:
             estimates=None if est is None else tuple(float(x) for x in est),
         )
 
+    def csv_row(self) -> str:
+        return ",".join(repr(getattr(self, c)) for c in SUMMARY_COLUMNS)
+
     def to_csv(self) -> str:
-        header = ",".join(SUMMARY_COLUMNS)
-        row = ",".join(repr(getattr(self, c)) for c in SUMMARY_COLUMNS)
-        return f"{header}\n{row}\n"
+        return ",".join(SUMMARY_COLUMNS) + "\n" + self.csv_row() + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "TrialSummary":
@@ -130,19 +124,23 @@ class TrialSummary:
         return cls(**dict(zip(SUMMARY_COLUMNS, values)))
 
 
+def standard_error(x: np.ndarray) -> float:
+    """std(ddof=1) / sqrt(len(x)), the standard error of the mean; 0 for one sample."""
+    t = len(x)
+    return float(x.std(ddof=1) / math.sqrt(t)) if t > 1 else 0.0
+
+
 def summarize(exact: float, reports: list[EstimateReport]) -> TrialSummary:
     estimates = np.array([r.estimate for r in reports], dtype=np.float64)
-    t = len(estimates)
     mean = float(estimates.mean())
     rmse = float(np.sqrt(np.mean((estimates - exact) ** 2)))
-    stderr = float(estimates.std(ddof=1) / math.sqrt(t)) if t > 1 else 0.0
     clipped = float(np.mean([r.clipped_users > 0 for r in reports]))
     return TrialSummary(
         exact=float(exact),
         mean=mean,
         rmse=rmse,
         bias=mean - float(exact),
-        stderr=stderr,
+        stderr=standard_error(estimates),
         clipped_fraction=clipped,
     )
 
@@ -174,7 +172,7 @@ def run_trials(config: ExperimentConfig) -> TrialSummary:
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Document):
     """Measured ordered-structure counts against their analytic envelopes.
 
     The two ratio fields divide the measured means by degeneracy^2 * n and
@@ -199,11 +197,6 @@ class BoundReport:
     chiba_bound_ok: bool  # chiba_sum <= 2 * m * degeneracy (provable form)
     chiba_within_m_delta: bool  # chiba_sum <= m * degeneracy (often false; reported)
     edge_count_ok: bool  # m <= degeneracy * n
-
-    def to_json_dict(self) -> dict:
-        doc = {"schema": 1}
-        doc.update(self.__dict__)
-        return doc
 
 
 def verify_bounds(graph: Graph, orderings: int, eps0: float, seed: int) -> BoundReport:
@@ -232,7 +225,6 @@ def verify_bounds(graph: Graph, orderings: int, eps0: float, seed: int) -> Bound
         s2[r] = count_low2stars(reordered)
         c4[r] = count_monotone_cycles(reordered, 4)
     delta = max(stats.degeneracy, 1)
-    se = lambda x: float(x.std(ddof=1) / math.sqrt(orderings)) if orderings > 1 else 0.0
     return BoundReport(
         n=stats.n,
         m=stats.m,
@@ -242,9 +234,9 @@ def verify_bounds(graph: Graph, orderings: int, eps0: float, seed: int) -> Bound
         eps0=eps0,
         orderings=orderings,
         mean_low2stars=float(s2.mean()),
-        stderr_low2stars=se(s2),
+        stderr_low2stars=standard_error(s2),
         mean_monotone_c4=float(c4.mean()),
-        stderr_monotone_c4=se(c4),
+        stderr_monotone_c4=standard_error(c4),
         low2star_ratio=float(s2.mean() / (delta**2 * max(stats.n, 1))),
         monotone_c4_ratio=float(c4.mean() / (delta**3 * max(stats.n, 1))),
         low2star_bound_rhs=stats.chiba_sum
@@ -256,7 +248,7 @@ def verify_bounds(graph: Graph, orderings: int, eps0: float, seed: int) -> Bound
 
 
 @dataclass(frozen=True)
-class ScalingReport:
+class ScalingReport(Document):
     """Per-size error summaries plus the fitted log-log slope of the RMSE."""
 
     task: str
@@ -265,23 +257,9 @@ class ScalingReport:
     summaries: tuple[TrialSummary, ...]
     slope: float | None  # None when every RMSE is exactly zero (exact mode)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "task": self.task,
-            "gen_template": self.gen_template,
-            "sizes": list(self.sizes),
-            "summaries": [s.to_json_dict() for s in self.summaries],
-            "slope": self.slope,
-        }
-
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("n," + ",".join(SUMMARY_COLUMNS) + "\n")
-        for n, s in zip(self.sizes, self.summaries):
-            row = ",".join(repr(getattr(s, c)) for c in SUMMARY_COLUMNS)
-            out.write(f"{n},{row}\n")
-        return out.getvalue()
+        rows = (f"{n},{s.csv_row()}\n" for n, s in zip(self.sizes, self.summaries))
+        return "n," + ",".join(SUMMARY_COLUMNS) + "\n" + "".join(rows)
 
 
 def error_scaling(

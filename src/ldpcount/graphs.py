@@ -16,6 +16,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from .documents import Document
 from .errors import ParseError, ValidationError
 
 
@@ -249,18 +250,23 @@ def degeneracy(graph: Graph) -> tuple[int, list[int]]:
     return delta, order
 
 
+def require_permutation(phi: np.ndarray, n: int) -> None:
+    """Raise ValidationError unless ``phi`` is a permutation of 0..n-1."""
+    if not np.array_equal(np.sort(phi), np.arange(n)):
+        raise ValidationError("phi is not a bijection on [0, n)")
+
+
 def relabel(graph: Graph, phi) -> Graph:
     """Rename node i to phi(i); the result is isomorphic to the input."""
     phi = np.asarray(phi, dtype=np.int64)
-    if phi.shape != (graph.n,) or not np.array_equal(np.sort(phi), np.arange(graph.n)):
-        raise ValidationError("phi is not a bijection on [0, n)")
+    require_permutation(phi, graph.n)
     return Graph.from_edges(
         graph.n, ((int(phi[u]), int(phi[v])) for u, v in graph.edges)
     )
 
 
 @dataclass(frozen=True)
-class GraphStats:
+class GraphStats(Document):
     n: int
     m: int
     d_max: int
@@ -275,15 +281,7 @@ class GraphStats:
         return ((self.degeneracy + 2) // 2, self.degeneracy)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "n": self.n,
-            "m": self.m,
-            "d_max": self.d_max,
-            "degeneracy": self.degeneracy,
-            "chiba_sum": self.chiba_sum,
-            "arboricity_range": list(self.arboricity_range),
-        }
+        return {**super().to_json_dict(), "arboricity_range": list(self.arboricity_range)}
 
 
 def graph_stats(graph: Graph) -> GraphStats:

@@ -19,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .documents import plain
 from .errors import ResourceLimitError, ValidationError
 from .graphs import Graph
 
@@ -88,6 +89,16 @@ def sample_laplace(scale: float, rng: np.random.Generator, size: int | None = No
     return laplace_quantile(u, scale)
 
 
+def require_eps(name: str, eps: float) -> None:
+    """Raise ValidationError unless ``eps`` is a usable budget, inf included.
+
+    The least is 2**-52, the smallest eps with e^eps > 1 in float64; below
+    it randomized response cannot be unbiased and the noise scales overflow.
+    """
+    if not eps >= math.ulp(1.0):
+        raise ValidationError(f"{name} must be >= 2**-52, got {eps}")
+
+
 def rr_keep_probability(eps: float) -> float:
     """Probability that randomized response preserves a bit: e^eps/(1+e^eps)."""
     return 1.0 / (1.0 + math.exp(-eps))
@@ -99,8 +110,7 @@ def randomize_response_row(bits, eps: float, u=None):
     ``u`` holds one draw in [0, 1) per bit.  At eps=inf this is the
     identity and ``u`` is unused.
     """
-    if not eps > 0:
-        raise ValidationError(f"privacy budget must be > 0, got {eps}")
+    require_eps("eps", eps)
     bits = np.asarray(bits, dtype=np.uint8)
     if eps == INF:
         return bits.copy()
@@ -211,9 +221,7 @@ class PrivacyBudget:
 
     def __post_init__(self):
         for name in ("eps0", "eps1", "eps2"):
-            v = getattr(self, name)
-            if not v > 0:
-                raise ValidationError(f"{name} must be > 0, got {v}")
+            require_eps(name, getattr(self, name))
         if not 0.0 < self.zeta <= 1.0:
             raise ValidationError(f"zeta must be in (0, 1], got {self.zeta}")
 
@@ -222,12 +230,7 @@ class PrivacyBudget:
         return self.eps0 + self.eps1 + self.eps2
 
     def to_json_dict(self) -> dict:
-        return {
-            "eps0": self.eps0,
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-            "zeta": self.zeta,
-        }
+        return plain(self)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PrivacyBudget":

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from .documents import Document
 from .errors import ResourceLimitError, ValidationError
 from .graphs import Graph
 
@@ -133,7 +134,7 @@ def count_monotone_cycles(graph: Graph, length: int) -> int:
 
 
 @dataclass(frozen=True)
-class ExactCounts:
+class ExactCounts(Document):
     """Bundle of exact counts, JSON-serializable for the CLI."""
 
     triangles: int
@@ -141,18 +142,6 @@ class ExactCounts:
     cycles: dict[int, int] = field(default_factory=dict)
     paths: dict[int, int] = field(default_factory=dict)
     monotone_cycles: dict[int, int] = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "triangles": self.triangles,
-            "low2stars": self.low2stars,
-            "cycles": {str(k): v for k, v in sorted(self.cycles.items())},
-            "paths": {str(k): v for k, v in sorted(self.paths.items())},
-            "monotone_cycles": {
-                str(k): v for k, v in sorted(self.monotone_cycles.items())
-            },
-        }
 
 
 def exact_counts(

@@ -7,9 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .documents import plain
 from .errors import ValidationError
-from .graphs import Graph, relabel
-from .mechanisms import as_uniforms, laplace_quantile
+from .graphs import Graph, relabel, require_permutation
+from .mechanisms import as_uniforms, laplace_quantile, require_eps
 
 # Publishing a degree has global sensitivity 1: adding or removing one edge
 # changes it by exactly 1.
@@ -30,9 +31,7 @@ class NodeOrdering:
     eps0: float
 
     def __post_init__(self):
-        n = len(self.phi)
-        if not np.array_equal(np.sort(self.phi), np.arange(n)):
-            raise ValidationError("phi is not a bijection on [0, n)")
+        require_permutation(self.phi, len(self.phi))
         self.phi.flags.writeable = False
         self.noisy_degrees.flags.writeable = False
 
@@ -47,11 +46,7 @@ class NodeOrdering:
         return inv
 
     def to_json_dict(self) -> dict:
-        return {
-            "phi": [int(r) for r in self.phi],
-            "noisy_degrees": [float(d) for d in self.noisy_degrees],
-            "eps0": self.eps0,
-        }
+        return plain(self)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "NodeOrdering":
@@ -68,8 +63,7 @@ def get_ordering(graph: Graph, eps0: float, u=None) -> NodeOrdering:
     Node i's noise is the Laplace quantile of its uniform draw ``u[i]``.  At
     eps0=inf the degrees are published exactly and ``u`` is unused.
     """
-    if not eps0 > 0:
-        raise ValidationError(f"eps0 must be > 0, got {eps0}")
+    require_eps("eps0", eps0)
     n = graph.n
     noisy = graph.degrees.astype(np.float64)
     if eps0 != math.inf:

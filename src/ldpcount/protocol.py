@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .documents import Document
 from .errors import ValidationError
 from .graphs import Graph
 from .mechanisms import (
@@ -77,7 +78,7 @@ def split_forks(row: tuple[int, ...], i: int) -> tuple[tuple[int, ...], tuple[in
 
 
 @dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(Document):
     """Outcome of one protocol run, JSON-serializable.
 
     ``estimate`` always equals the sum of ``per_user``.  ``clipped_users``
@@ -93,21 +94,6 @@ class EstimateReport:
     mode: str
     k: int | None = None
     walk_sum: float | None = None
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "schema": 1,
-            "estimate": self.estimate,
-            "per_user": list(self.per_user),
-            "budget": None if self.budget is None else self.budget.to_json_dict(),
-            "seed": self.seed,
-            "clipped_users": self.clipped_users,
-            "mode": self.mode,
-        }
-        if self.k is not None:
-            doc["k"] = self.k
-            doc["walk_sum"] = self.walk_sum
-        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EstimateReport":

@@ -9,7 +9,7 @@ from ldpcount.cli import main
 BUDGET = ("--eps0", ".5", "--eps1", "1", "--eps2", "1")
 
 # sha256 of stdout at fixed seeds.  A change that moves one of these moves
-# the output bytes: say so in CHANGES.md and bump the documents' "schema".
+# the output bytes: say so in CHANGES.md and bump ``documents.SCHEMA``.
 GOLDEN = {
     "triangles": (
         ("estimate-triangles", "--gen", "ba:300:3", *BUDGET, "--zeta", ".05",
@@ -53,6 +53,35 @@ GOLDEN = {
          "--sizes", "20,30,40", "--trials", "5", "--seed", "2", *BUDGET,
          "--format", "json"),
         "73eee8f4892abcfb83364f1cf71898b8f9e9e203b43038f74220869c724383e0",
+    ),
+    "stats": (
+        ("stats", "--gen", "ba:300:3"),
+        "0596e2e7c253160b8a0f46fd1a2bb567e49be665028942e07fd417a64328b9f4",
+    ),
+    # two-digit keys: JSON orders them as strings, "10" before "2"
+    "count-exact": (
+        ("count-exact", "--gen", "er:13:0.25", "--cycles", "3,9",
+         "--paths", "2,9,10,11"),
+        "c21f625fd5f54acafe6f4558f4de3debcbd46c439cb75d578e0b551ec25fa417",
+    ),
+    "gen-graph": (
+        ("gen-graph", "--gen", "ktree:50:3"),
+        "35aee3250edd2cbb08167463f2c2b7c18c530d9adf41201196acfa2699234802",
+    ),
+    "cycles-no-noise": (
+        ("estimate-cycles", "--gen", "er:30:0.2", "--k", "5", "--mode", "no-noise",
+         "--seed", "7"),
+        "952cda7cd471b057c5fc8c77f92e9099baad2502f00b94bf3c476e643e55f5ba",
+    ),
+    "experiment-json-summary": (
+        ("experiment", "--task", "triangles", "--gen", "ba:60:3", "--trials", "8",
+         "--seed", "5", *BUDGET, "--format", "json"),
+        "37b63f79d315ed0dc4d4de1e8e8903e37f0acffae8441176f55b2b2d175bfe41",
+    ),
+    "error-scaling-csv": (
+        ("error-scaling", "--task", "triangles", "--gen", "ba:{n}:2",
+         "--sizes", "20,30,40", "--trials", "5", "--seed", "2", *BUDGET),
+        "92769acb1f301f350d20215f5e20c6e31360f1e8546ac902399eeb69e2c17181",
     ),
 }
 
@@ -241,6 +270,24 @@ def test_rr_budget_past_exp_overflow_matches_infinite_budget(capsys):
         return json.loads(out)["per_user"]
 
     assert per_user("800") == per_user("inf")
+
+
+@pytest.mark.parametrize("command", [
+    ("estimate-triangles",),
+    ("estimate-cycles", "--k", "5"),
+], ids=lambda c: c[0])
+@pytest.mark.parametrize("name,value", [
+    ("eps0", "1e-320"),  # int(inf) in the degree cap
+    ("eps1", "1e-17"),  # unbias divides by e^eps1 - 1 == 0
+    ("eps2", "1e-320"),  # infinite noise scales
+])
+def test_budget_below_float64_resolution_exit_1(capsys, command, name, value):
+    budget = {"eps0": "1", "eps1": "1", "eps2": "1", name: value}
+    argv = [f for k, v in budget.items() for f in (f"--{k}", v)]
+    code, out, err = run_cli(capsys, *command, "--gen", "ba:60:3", *argv)
+    assert code == 1
+    assert out == ""
+    assert name in err
 
 
 def test_experiment_csv_golden_header_and_determinism(tmp_path, capsys):

@@ -9,6 +9,9 @@ protocol stage builds substreams, so no function takes an ``rng`` except
 ``sample_laplace``, the generator-facing sampler kept for the tests.
 
 A module imports only names it uses; ``__init__.py`` imports to re-export.
+
+The document format is written once: only ``documents.py`` names the
+``"schema"`` key that stamps every report.
 """
 
 import ast
@@ -101,3 +104,25 @@ def test_finds_unused_import():
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []
+
+
+def schema_literals(tree: ast.AST) -> list[int]:
+    """Line numbers of the string constant ``"schema"``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value == "schema"
+    ]
+
+
+def test_finds_schema_literal():
+    tree = ast.parse('x = 1\ndoc = {"schema": 1}\ny = "schema_v"\n')
+    assert schema_literals(tree) == [2]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "documents.py"], ids=lambda p: p.name
+)
+def test_schema_key_written_only_in_documents(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert schema_literals(tree) == []

@@ -17,6 +17,7 @@ from ldpcount import (
     estimate_triangles,
     gen_ba,
     gen_er,
+    get_ordering,
     project_mu,
     randomize_response_row,
     sample_laplace,
@@ -335,6 +336,37 @@ def test_budget_validation():
     b = PrivacyBudget(0.5, 1.0, 0.5, 0.05)
     assert b.total == 2.0
     assert PrivacyBudget.from_json_dict(b.to_json_dict()) == b
+
+
+EPS_FLOOR = 2.0**-52  # the smallest eps with e^eps > 1 in float64
+
+
+def test_every_eps_check_rejects_below_the_float64_floor():
+    assert math.exp(EPS_FLOOR) > 1.0 and math.exp(EPS_FLOOR / 2) == 1.0
+    g = gen_er(6, 0.5, seed=0)
+    for eps in (EPS_FLOOR / 2, 1e-320, 0.0, -1.0, math.nan):
+        for parts in ((eps, 1, 1), (1, eps, 1), (1, 1, eps)):
+            with pytest.raises(ValidationError, match="eps"):
+                PrivacyBudget(*parts, 0.1)
+        with pytest.raises(ValidationError, match="eps"):
+            randomize_response_row([0, 1], eps, [0.5, 0.5])
+        with pytest.raises(ValidationError, match="eps0"):
+            get_ordering(g, eps, np.full(g.n, 0.5))
+    PrivacyBudget(EPS_FLOOR, INF, EPS_FLOOR, 0.1)
+
+
+@pytest.mark.parametrize("part", ["eps0", "eps1", "eps2"])
+def test_estimates_finite_at_the_eps_floor(part):
+    budget = PrivacyBudget(**{"eps0": 1.0, "eps1": 1.0, "eps2": 1.0, part: EPS_FLOOR},
+                           zeta=0.1)
+    reports = [
+        estimate_triangles(gen_ba(60, 3, seed=1), budget, seed=2),
+        estimate_odd_cycles(gen_er(20, 0.3, seed=1), 5, budget, seed=2),
+        estimate_odd_cycles(gen_er(12, 0.3, seed=1), 7, budget, seed=2),
+    ]
+    for r in reports:
+        assert math.isfinite(r.estimate)
+        assert all(math.isfinite(x) for x in r.per_user)
 
 
 def test_check_budget_examples():
