@@ -120,18 +120,7 @@ def build_parser() -> _Parser:
     _add_run(p)
     _add_trials(p)
     p.add_argument("--keep-estimates", action="store_true")
-    p.set_defaults(run=lambda a: run_trials(ExperimentConfig(
-        task=a.task,
-        trials=a.trials,
-        seed=a.seed,
-        mode=a.mode,
-        graph_path=a.graph,
-        gen=a.gen,
-        k=a.k,
-        budget=_budget_from(a),
-        threads=a.threads,
-        keep_estimates=a.keep_estimates,
-    )))
+    p.set_defaults(run=lambda a: run_trials(_config_from(a)))
 
     p = sub.add_parser("verify-bounds", help="ordered-structure bound measurements")
     _add_source(p)
@@ -148,17 +137,11 @@ def build_parser() -> _Parser:
     _add_trials(p)
     p.add_argument("--gen", required=True, help="template with {n}, e.g. ba:{n}:3")
     p.add_argument("--sizes", required=True, help="comma-separated node counts")
-    p.set_defaults(run=lambda a: error_scaling(
-        a.task,
-        a.gen,
-        _int_list(a.sizes),
-        _budget_from(a),
-        a.trials,
-        a.seed,
-        k=a.k,
-        mode=a.mode,
-        threads=a.threads,
-    ))
+    p.set_defaults(
+        graph=None,
+        keep_estimates=False,
+        run=lambda a: error_scaling(_config_from(a), _int_list(a.sizes)),
+    )
 
     return parser
 
@@ -183,6 +166,21 @@ def _budget_from(args) -> PrivacyBudget | None:
             f"budget spends {budget.total}, more than the declared total {args.eps_total}"
         )
     return budget
+
+
+def _config_from(args) -> ExperimentConfig:
+    return ExperimentConfig(
+        task=args.task,
+        trials=args.trials,
+        seed=args.seed,
+        mode=args.mode,
+        graph_path=args.graph,
+        gen=args.gen,
+        k=args.k,
+        budget=_budget_from(args),
+        threads=args.threads,
+        keep_estimates=args.keep_estimates,
+    )
 
 
 def _int_list(text: str) -> tuple[int, ...]:

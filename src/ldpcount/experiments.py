@@ -80,6 +80,8 @@ class ExperimentConfig:
             if self.k is None:
                 raise ValidationError("cycle experiments need k")
             require_odd_k(self.k)
+        elif self.k is not None:
+            raise ValidationError(f"k applies only to the cycles task, got k={self.k}")
         resolve_mode(self.mode, self.budget)
         if self.threads < 1:
             raise ValidationError(f"threads must be >= 1, got {self.threads}")
@@ -239,8 +241,7 @@ def verify_bounds(graph: Graph, orderings: int, eps0: float, seed: int) -> Bound
         stderr_monotone_c4=standard_error(c4),
         low2star_ratio=float(s2.mean() / (delta**2 * max(stats.n, 1))),
         monotone_c4_ratio=float(c4.mean() / (delta**3 * max(stats.n, 1))),
-        low2star_bound_rhs=stats.chiba_sum
-        + (0.0 if eps0 == math.inf else stats.m / eps0),
+        low2star_bound_rhs=stats.chiba_sum + stats.m / eps0,
         chiba_bound_ok=chiba_ok,
         chiba_within_m_delta=stats.chiba_sum <= stats.m * stats.degeneracy,
         edge_count_ok=edge_ok,
@@ -262,40 +263,26 @@ class ScalingReport(Document):
         return "n," + ",".join(SUMMARY_COLUMNS) + "\n" + "".join(rows)
 
 
-def error_scaling(
-    task: str,
-    gen_template: str,
-    sizes,
-    budget: PrivacyBudget | None,
-    trials: int,
-    seed: int,
-    *,
-    k: int | None = None,
-    mode: str = "noisy",
-    threads: int = 1,
-) -> ScalingReport:
+def error_scaling(config: ExperimentConfig, sizes) -> ScalingReport:
     """RMSE at each size plus a least-squares slope of log RMSE vs log n.
 
-    ``gen_template`` must contain an ``{n}`` placeholder, e.g. ``ba:{n}:3``.
+    ``config.gen`` is a template with an ``{n}`` placeholder, e.g.
+    ``ba:{n}:3``.  Size number idx runs ``config`` with ``{n}`` replaced by
+    the size and the seed derived from (config.seed, "size", idx).
     """
     sizes = tuple(int(n) for n in sizes)
     if len(sizes) < 3 or list(sizes) != sorted(set(sizes)):
         raise ValidationError("need at least 3 strictly ascending sizes")
-    if "{n}" not in gen_template:
+    if "{n}" not in (config.gen or ""):
         raise ValidationError("generator template must contain '{n}'")
-    summaries = []
-    for idx, n in enumerate(sizes):
-        config = ExperimentConfig(
-            task=task,
-            trials=trials,
-            seed=derive_seed(seed, "size", idx),
-            mode=mode,
-            gen=gen_template.format(n=n),
-            k=k,
-            budget=budget,
-            threads=threads,
-        )
-        summaries.append(run_trials(config))
+    summaries = [
+        run_trials(replace(
+            config,
+            seed=derive_seed(config.seed, "size", idx),
+            gen=config.gen.replace("{n}", str(n)),
+        ))
+        for idx, n in enumerate(sizes)
+    ]
     rmses = np.array([s.rmse for s in summaries], dtype=np.float64)
     if np.all(rmses > 0):
         slope = float(
@@ -304,8 +291,8 @@ def error_scaling(
     else:
         slope = None
     return ScalingReport(
-        task=task,
-        gen_template=gen_template,
+        task=config.task,
+        gen_template=config.gen,
         sizes=sizes,
         summaries=tuple(summaries),
         slope=slope,

@@ -51,6 +51,8 @@ def clipped_degree(noisy_degree, eps0: float, n: int, zeta: float):
     Takes a scalar or an array; at eps0=inf the shift is 0.  Real-valued
     on purpose: callers floor and clamp when they need an integer cap.
     """
+    if n / zeta == math.inf:
+        raise ValidationError(f"zeta={zeta} is too small for n={n}: n/zeta overflows float64")
     return noisy_degree + math.log(n / zeta) / eps0
 
 

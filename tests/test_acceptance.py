@@ -290,10 +290,16 @@ def test_criterion_8_ordered_structure_bounds():
 def test_criterion_9_error_scaling_slopes():
     t0 = time.time()
     tri = error_scaling(
-        "triangles", "ba:{n}:3", [200, 400, 800, 1600], BUDGET, 200, 909
+        ExperimentConfig(
+            task="triangles", trials=200, seed=909, gen="ba:{n}:3", budget=BUDGET
+        ),
+        [200, 400, 800, 1600],
     )
     cyc = error_scaling(
-        "cycles", "ba:{n}:2", [40, 80, 160], BUDGET, 50, 910, k=5
+        ExperimentConfig(
+            task="cycles", trials=50, seed=910, gen="ba:{n}:2", k=5, budget=BUDGET
+        ),
+        [40, 80, 160],
     )
     elapsed = time.time() - t0
     tri_ok = tri.slope is not None and tri.slope < 1.25

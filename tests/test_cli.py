@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -82,6 +83,13 @@ GOLDEN = {
         ("error-scaling", "--task", "triangles", "--gen", "ba:{n}:2",
          "--sizes", "20,30,40", "--trials", "5", "--seed", "2", *BUDGET),
         "92769acb1f301f350d20215f5e20c6e31360f1e8546ac902399eeb69e2c17181",
+    ),
+    # the same bytes with --threads 1
+    "error-scaling-cycles-threads": (
+        ("error-scaling", "--task", "cycles", "--k", "5", "--gen", "ba:{n}:2",
+         "--sizes", "12,16,20", "--trials", "3", "--seed", "4", *BUDGET,
+         "--format", "json", "--threads", "2"),
+        "4e2fbfe72695b95ec267d12db91f3bf15433536e62712596a22fe29871fcd421",
     ),
 }
 
@@ -280,6 +288,7 @@ def test_rr_budget_past_exp_overflow_matches_infinite_budget(capsys):
     ("eps0", "1e-320"),  # int(inf) in the degree cap
     ("eps1", "1e-17"),  # unbias divides by e^eps1 - 1 == 0
     ("eps2", "1e-320"),  # infinite noise scales
+    ("zeta", "1e-320"),  # n/zeta overflows in the clipping shift
 ])
 def test_budget_below_float64_resolution_exit_1(capsys, command, name, value):
     budget = {"eps0": "1", "eps1": "1", "eps2": "1", name: value}
@@ -288,6 +297,55 @@ def test_budget_below_float64_resolution_exit_1(capsys, command, name, value):
     assert code == 1
     assert out == ""
     assert name in err
+
+
+def assert_rejected(code, out, err, *names):
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
+    assert all(name in err for name in names)
+
+
+@pytest.mark.parametrize("command", [
+    ("estimate-triangles",),
+    ("estimate-cycles", "--k", "5"),
+], ids=lambda c: c[0])
+def test_tiny_zeta_that_fits_gives_a_finite_estimate(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--gen", "ba:60:3", *BUDGET,
+                             "--zeta", "1e-300")
+    assert code == 0, err
+    assert math.isfinite(json.loads(out)["estimate"])
+
+
+@pytest.mark.parametrize("template", ["ba:{n}:{m}", "ba:{n}:{0}"])
+def test_error_scaling_template_with_other_fields_exit_1(capsys, template):
+    code, out, err = run_cli(capsys, "error-scaling", "--task", "triangles",
+                             "--gen", template, "--sizes", "20,30,40",
+                             "--trials", "2", "--mode", "no-noise")
+    assert_rejected(code, out, err, "generator spec")
+
+
+@pytest.mark.parametrize("argv", [
+    ("experiment", "--gen", "ba:30:2", "--k", "4"),
+    ("error-scaling", "--gen", "ba:{n}:2", "--sizes", "20,30,40", "--k", "7"),
+], ids=lambda argv: argv[0])
+def test_k_with_triangle_task_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--task", "triangles", "--trials", "2",
+                             "--mode", "no-noise")
+    assert_rejected(code, out, err, "k=")
+
+
+def test_experiment_on_a_graph_file_matches_its_generator(tmp_path, capsys):
+    path = tmp_path / "g.el"
+    code, _, _ = run_cli(capsys, "gen-graph", "--gen", "ba:60:3", "--seed", "5",
+                         "--out", str(path))
+    assert code == 0
+    args = ("experiment", "--task", "triangles", "--trials", "4", "--seed", "5",
+            *BUDGET, "--format", "json", "--keep-estimates")
+    code_file, from_file, _ = run_cli(capsys, *args, "--graph", str(path))
+    code_gen, from_gen, _ = run_cli(capsys, *args, "--gen", "ba:60:3")
+    assert code_file == code_gen == 0
+    assert from_file == from_gen
 
 
 def test_experiment_csv_golden_header_and_determinism(tmp_path, capsys):

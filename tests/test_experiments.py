@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ldpcount import (
     TrialSummary,
     ValidationError,
     complete_graph,
+    derive_seed,
     error_scaling,
     gen_ba,
     make_graph,
@@ -48,6 +50,10 @@ def test_config_validation():
         ExperimentConfig(
             task="triangles", trials=1, seed=0, mode="bogus", gen="er:5:0.2",
             budget=BUDGET,
+        )
+    with pytest.raises(ValidationError, match="k="):  # k means nothing to triangles
+        ExperimentConfig(
+            task="triangles", trials=1, seed=0, gen="er:5:0.2", k=5, budget=BUDGET
         )
 
 
@@ -153,14 +159,17 @@ def test_verify_bounds_matches_direct_low2star_mean():
     assert report.mean_low2stars == direct
 
 
+def scaling_config(task="triangles", gen="ba:{n}:2", **kw):
+    return ExperimentConfig(task=task, gen=gen, **kw)
+
+
 def test_error_scaling_validation_and_exact_mode():
+    exact = scaling_config(trials=2, seed=0, mode="no-noise")
     with pytest.raises(ValidationError):
-        error_scaling("triangles", "ba:{n}:2", [10, 20], None, 2, 0, mode="no-noise")
+        error_scaling(exact, [10, 20])
     with pytest.raises(ValidationError):
-        error_scaling("triangles", "ba:30:2", [10, 20, 30], None, 2, 0, mode="no-noise")
-    report = error_scaling(
-        "triangles", "ba:{n}:2", [12, 16, 20], None, 3, 4, mode="no-noise"
-    )
+        error_scaling(replace(exact, gen="ba:30:2"), [10, 20, 30])
+    report = error_scaling(replace(exact, trials=3, seed=4), [12, 16, 20])
     assert report.slope is None
     assert all(s.rmse == 0.0 for s in report.summaries)
     csv = report.to_csv()
@@ -170,9 +179,28 @@ def test_error_scaling_validation_and_exact_mode():
 
 def test_error_scaling_noisy_slope_is_finite():
     report = error_scaling(
-        "triangles", "ba:{n}:2", [20, 30, 40], BUDGET, 10, 11
+        scaling_config(trials=10, seed=11, budget=BUDGET), [20, 30, 40]
     )
     assert report.slope is not None and np.isfinite(report.slope)
     doc = report.to_json_dict()
     assert doc["sizes"] == [20, 30, 40]
     assert len(doc["summaries"]) == 3
+
+
+def test_error_scaling_runs_one_config_per_size():
+    config = scaling_config(task="cycles", k=5, trials=3, seed=4, budget=BUDGET)
+    report = error_scaling(config, [12, 16, 20])
+    assert (report.task, report.gen_template) == ("cycles", "ba:{n}:2")
+    for idx, n in enumerate(report.sizes):
+        size_config = replace(config, seed=derive_seed(4, "size", idx), gen=f"ba:{n}:2")
+        assert report.summaries[idx] == run_trials(size_config)
+
+
+@pytest.mark.parametrize("config", [
+    scaling_config(trials=2, seed=0, mode="no-noise", gen=None, graph_path="g.el"),
+    scaling_config(trials=2, seed=0, mode="no-noise", gen="ba:{n}:{m}"),
+    scaling_config(trials=2, seed=0, mode="no-noise", gen="ba:{n}:{0}"),
+], ids=["graph-path", "named-field", "positional-field"])
+def test_error_scaling_rejects_templates_without_a_lone_n(config):
+    with pytest.raises(ValidationError):
+        error_scaling(config, [10, 20, 30])

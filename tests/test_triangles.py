@@ -33,6 +33,13 @@ def test_clipped_degree_examples():
     assert clipped_degree(3.0, INF, 100, 0.1) == 3.0
 
 
+@pytest.mark.parametrize("eps0", [1.0, INF])
+def test_clipped_degree_rejects_an_overflowing_n_over_zeta(eps0):
+    with pytest.raises(ValidationError, match=r"zeta=1e-320 .* n=60"):
+        clipped_degree(3.0, eps0, 60, 1e-320)
+    assert math.isfinite(clipped_degree(3.0, eps0, 60, 1e-300))
+
+
 @pytest.mark.parametrize("eps0", [0.5, INF])
 def test_clipped_degree_of_an_array_matches_scalars(eps0):
     noisy = np.array([-1.5, 0.0, 3.25, 7.0])
