@@ -33,6 +33,7 @@ class _Parser(argparse.ArgumentParser):
     # limits, so usage errors are validation failures instead.
     def error(self, message):
         self.print_usage(sys.stderr)
+        sys.stderr.write(f"error: {message}\n")
         raise SystemExit(1)
 
 
@@ -87,14 +88,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("count-exact", help="exact subgraph counts")
     _add_source(p)
     _add_seed_out(p)
-    p.add_argument("--cycles", default="", help="comma-separated cycle lengths")
-    p.add_argument("--paths", default="", help="comma-separated path edge counts")
-    p.add_argument("--monotone", default="", help="comma-separated even cycle lengths")
+    p.add_argument("--cycles", type=_int_list, default="",
+                   help="comma-separated cycle lengths")
+    p.add_argument("--paths", type=_int_list, default="",
+                   help="comma-separated path edge counts")
+    p.add_argument("--monotone", type=_int_list, default="",
+                   help="comma-separated even cycle lengths")
     p.set_defaults(run=lambda a: exact_counts(
         _load_source(a),
-        cycle_lengths=_int_list(a.cycles),
-        path_lengths=_int_list(a.paths),
-        monotone_lengths=_int_list(a.monotone),
+        cycle_lengths=a.cycles,
+        path_lengths=a.paths,
+        monotone_lengths=a.monotone,
     ))
 
     p = sub.add_parser("estimate-triangles", help="one private triangle estimate")
@@ -136,11 +140,12 @@ def build_parser() -> _Parser:
     _add_run(p)
     _add_trials(p)
     p.add_argument("--gen", required=True, help="template with {n}, e.g. ba:{n}:3")
-    p.add_argument("--sizes", required=True, help="comma-separated node counts")
+    p.add_argument("--sizes", type=_int_list, required=True,
+                   help="comma-separated node counts")
     p.set_defaults(
         graph=None,
         keep_estimates=False,
-        run=lambda a: error_scaling(_config_from(a), _int_list(a.sizes)),
+        run=lambda a: error_scaling(_config_from(a), a.sizes),
     )
 
     return parser
@@ -184,7 +189,10 @@ def _config_from(args) -> ExperimentConfig:
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from None
 
 
 def _run(args) -> None:

@@ -201,10 +201,10 @@ def estimate_odd_cycles(
     was counted, keyed by canonical vertex tuple in original node ids.
     """
     require_odd_k(k)
-    noisy, eps0, eps1, eps2, zeta = resolve_mode(mode, budget)
-    if multiplicity_out is not None and noisy:
+    budget = resolve_mode(mode, budget)
+    if multiplicity_out is not None and mode == "noisy":
         raise ValidationError("multiplicity instrumentation needs no-noise mode")
-    stage = run_ordered_stage(graph, eps0, eps1, zeta, seed, trial)
+    stage = run_ordered_stage(graph, budget, seed, trial)
     n = graph.n
     forks = (split_forks(row, i) for i, row in enumerate(stage.projected))
     _check_path_tuples(sum(len(b) * len(a) for b, a in forks), n, k, "all users")
@@ -216,25 +216,16 @@ def estimate_odd_cycles(
             for i, row in enumerate(stage.projected)
         ]
     )
-    if noisy:
+    if mode == "noisy":
         u = np.array(
             [substream(seed, trial, STAGE_COUNT, i).random() for i in range(n)]
         )
         per_user = user_cycle_noise(
-            per_user, stage.clipped_degrees, walk_sum, eps1, eps2, u
+            per_user, stage.clipped_degrees, walk_sum, budget.eps1, budget.eps2, u
         )
     if multiplicity_out is not None:
         node_of_rank = stage.ordering.node_of_rank()
         for key, count in collector.items():
             original = canonical_cycle(tuple(int(node_of_rank[r]) for r in key))
             multiplicity_out[original] = multiplicity_out.get(original, 0) + count
-    return EstimateReport(
-        estimate=float(per_user.sum()),
-        per_user=tuple(float(x) for x in per_user),
-        budget=budget if noisy else None,
-        seed=seed,
-        clipped_users=stage.clipped_users,
-        mode=mode,
-        k=k,
-        walk_sum=walk_sum,
-    )
+    return stage.report(per_user, budget, seed, mode, k=k, walk_sum=walk_sum)

@@ -32,17 +32,15 @@ from .ordering import NodeOrdering, apply_ordering, get_ordering
 MODES = ("noisy", "no-noise")
 
 
-def resolve_mode(
-    mode: str, budget: PrivacyBudget | None
-) -> tuple[bool, float, float, float, float]:
-    """(noisy, eps0, eps1, eps2, zeta) for a mode; no-noise makes every eps infinite."""
+def resolve_mode(mode: str, budget: PrivacyBudget | None) -> PrivacyBudget:
+    """The budget a run spends: the given one; no-noise makes every eps infinite."""
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "noisy":
         if budget is None:
             raise ValidationError("a PrivacyBudget is required in noisy mode")
-        return True, budget.eps0, budget.eps1, budget.eps2, budget.zeta
-    return False, INF, INF, INF, 1.0
+        return budget
+    return PrivacyBudget(eps0=INF, eps1=INF, eps2=INF, zeta=1.0)
 
 
 def clipped_degree(noisy_degree, eps0: float, n: int, zeta: float):
@@ -125,14 +123,21 @@ class OrderedStage:
     projected: tuple[tuple[int, ...], ...]
     clipped_users: int
 
+    def report(self, per_user, budget, seed, mode, **cycle_fields) -> EstimateReport:
+        """The run's report over its per-user sums; no-noise runs carry no budget."""
+        return EstimateReport(
+            estimate=float(per_user.sum()),
+            per_user=tuple(float(x) for x in per_user),
+            budget=budget if mode == "noisy" else None,
+            seed=seed,
+            clipped_users=self.clipped_users,
+            mode=mode,
+            **cycle_fields,
+        )
+
 
 def run_ordered_stage(
-    graph: Graph,
-    eps0: float,
-    eps1: float,
-    zeta: float,
-    seed: int,
-    trial: int,
+    graph: Graph, budget: PrivacyBudget, seed: int, trial: int
 ) -> OrderedStage:
     """Ordering query, randomized response, degree clipping and projection.
 
@@ -145,29 +150,27 @@ def run_ordered_stage(
     if n == 0:
         raise ValidationError("the graph has 0 nodes; the protocol needs at least one")
     u = None
-    if eps0 != INF:
+    if budget.eps0 != INF:
         u = np.array(
             [substream(seed, trial, STAGE_DEGREE, i).random() for i in range(n)]
         )
-    ordering = get_ordering(graph, eps0, u)
+    ordering = get_ordering(graph, budget.eps0, u)
     reordered = apply_ordering(graph, ordering)
     noisy_by_rank = np.empty(n, dtype=np.float64)
     noisy_by_rank[ordering.phi] = ordering.noisy_degrees
 
     u_rows = None
-    if eps1 != INF:
+    if budget.eps1 != INF:
         # lazy: all rows at once would be n*n/2 float64 draws
         u_rows = (substream(seed, trial, STAGE_RR, i).random(i) for i in range(n))
-    obf = assemble_obfuscated(reordered, eps1, u_rows)
+    obf = assemble_obfuscated(reordered, budget.eps1, u_rows)
 
-    d_hat = clipped_degree(noisy_by_rank, eps0, n, zeta)
+    d_hat = clipped_degree(noisy_by_rank, budget.eps0, n, budget.zeta)
     floors = np.floor(d_hat)
-    projected = tuple(project_mu(reordered.adj[i], floors[i]) for i in range(n))
-    clipped_users = int(np.sum(floors < reordered.degrees))
     return OrderedStage(
         ordering=ordering,
         obf=obf,
         clipped_degrees=d_hat,
-        projected=projected,
-        clipped_users=clipped_users,
+        projected=tuple(project_mu(reordered.adj[i], floors[i]) for i in range(n)),
+        clipped_users=int(np.sum(floors < reordered.degrees)),
     )

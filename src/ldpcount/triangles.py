@@ -57,22 +57,17 @@ def estimate_triangles(
     In no-noise mode the result equals the exact triangle count: every
     triangle {a < b < c} is charged to its middle rank exactly once.
     """
-    noisy, eps0, eps1, eps2, zeta = resolve_mode(mode, budget)
-    stage = run_ordered_stage(graph, eps0, eps1, zeta, seed, trial)
+    budget = resolve_mode(mode, budget)
+    stage = run_ordered_stage(graph, budget, seed, trial)
     n = graph.n
     per_user = np.array(
         [user_triangle_estimate(i, stage.projected[i], stage.obf) for i in range(n)]
     )
-    if noisy:
+    if mode == "noisy":
         u = np.array(
             [substream(seed, trial, STAGE_COUNT, i).random() for i in range(n)]
         )
-        per_user = user_triangle_noise(per_user, stage.clipped_degrees, eps1, eps2, u)
-    return EstimateReport(
-        estimate=float(per_user.sum()),
-        per_user=tuple(float(x) for x in per_user),
-        budget=budget if noisy else None,
-        seed=seed,
-        clipped_users=stage.clipped_users,
-        mode=mode,
-    )
+        per_user = user_triangle_noise(
+            per_user, stage.clipped_degrees, budget.eps1, budget.eps2, u
+        )
+    return stage.report(per_user, budget, seed, mode)

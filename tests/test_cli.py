@@ -212,8 +212,26 @@ def test_missing_budget_flags_exit_1(capsys):
 
 
 def test_usage_error_is_validation_exit_1(capsys):
-    assert run_cli(capsys, "estimate-cycles", "--gen", "er:10:0.2")[0] == 1  # no --k
+    code, out, err = run_cli(capsys, "estimate-cycles", "--gen", "er:10:0.2")
+    assert code == 1 and out == ""
+    assert "error: the following arguments are required: --k" in err
+    code, out, err = run_cli(capsys, "estimate-triangles", "--gen", "er:10:0.3",
+                             "--eps0", "abc")
+    assert code == 1 and out == ""
+    assert "error: argument --eps0: invalid float value: 'abc'" in err
     assert run_cli(capsys, "no-such-command")[0] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("error-scaling", "--task", "triangles", "--gen", "ba:{n}:3", "--trials", "2",
+     "--mode", "no-noise", "--sizes", "10,x,30"),
+    ("count-exact", "--gen", "er:10:0.3", "--cycles", "3,y"),
+], ids=lambda argv: argv[0])
+def test_malformed_int_list_names_its_flag_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"argument {argv[-2]}:" in err and argv[-1] in err
 
 
 def test_missing_file_exit_1(capsys):

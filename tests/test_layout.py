@@ -12,6 +12,9 @@ A module imports only names it uses; ``__init__.py`` imports to re-export.
 
 The document format is written once: only ``documents.py`` names the
 ``"schema"`` key that stamps every report.
+
+Estimate reports are assembled once: only ``protocol.py`` calls
+``EstimateReport(...)``, at a single site.
 """
 
 import ast
@@ -126,3 +129,32 @@ def test_finds_schema_literal():
 def test_schema_key_written_only_in_documents(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert schema_literals(tree) == []
+
+
+def report_constructions(tree: ast.AST) -> list[int]:
+    """Line numbers of calls to ``EstimateReport``, bare or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "EstimateReport"
+    ]
+
+
+def test_finds_report_construction():
+    tree = ast.parse(
+        "a = EstimateReport(1)\nb = protocol.EstimateReport(2)\n"
+        "c = EstimateReport\nd = EstimateReport.from_json_dict({})\n"
+    )
+    assert report_constructions(tree) == [1, 2]
+
+
+def test_estimate_report_built_at_one_site_in_protocol():
+    sites = [
+        path.name
+        for path in MODULES
+        for _ in report_constructions(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        )
+    ]
+    assert sites == ["protocol.py"]

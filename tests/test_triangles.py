@@ -22,6 +22,7 @@ from ldpcount import (
 )
 from ldpcount.mechanisms import assemble_obfuscated
 from ldpcount.oracles import count_triangles
+from ldpcount.protocol import resolve_mode
 
 INF = math.inf
 
@@ -45,6 +46,18 @@ def test_clipped_degree_of_an_array_matches_scalars(eps0):
     noisy = np.array([-1.5, 0.0, 3.25, 7.0])
     got = clipped_degree(noisy, eps0, 40, 0.05)
     assert got.tolist() == [clipped_degree(float(d), eps0, 40, 0.05) for d in noisy]
+
+
+def test_resolve_mode_returns_the_budget_the_run_spends():
+    budget = PrivacyBudget(eps0=0.5, eps1=1.0, eps2=1.0, zeta=0.05)
+    assert resolve_mode("noisy", budget) is budget
+    unlimited = PrivacyBudget(eps0=INF, eps1=INF, eps2=INF, zeta=1.0)
+    assert resolve_mode("no-noise", None) == unlimited
+    assert resolve_mode("no-noise", budget) == unlimited
+    with pytest.raises(ValidationError, match="mode must be one of"):
+        resolve_mode("bogus", budget)
+    with pytest.raises(ValidationError, match="required in noisy mode"):
+        resolve_mode("noisy", None)
 
 
 def test_fork_sums_on_triangle():
