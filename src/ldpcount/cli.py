@@ -53,21 +53,26 @@ def _add_budget(p: _Parser) -> None:
 
 
 def _add_seed_out(p: _Parser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="master seed; the output is a function of it (default 0)")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
 def _add_run(p: _Parser) -> None:
     _add_seed_out(p)
-    p.add_argument("--mode", choices=MODES, default="noisy")
+    p.add_argument("--mode", choices=MODES, default="noisy",
+                   help="no-noise drops every mechanism: a test harness, not privacy")
 
 
 def _add_trials(p: _Parser) -> None:
-    p.add_argument("--task", choices=TASKS, required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--task", choices=TASKS, required=True, help="what to count")
+    p.add_argument("--k", type=int, default=None,
+                   help="odd cycle length >= 5 (cycles task only)")
+    p.add_argument("--trials", type=int, required=True, help="Monte-Carlo trials")
+    p.add_argument("--format", choices=("json", "csv"), default="csv",
+                   help="output format (default csv)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="threads running trials; the output is the same for any count")
 
 
 def build_parser() -> _Parser:
@@ -76,7 +81,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-graph", help="write a generated graph as an edge list")
-    p.add_argument("--gen", required=True)
+    p.add_argument("--gen", required=True,
+                   help="generator spec er:<n>:<p> | ba:<n>:<m0> | ktree:<n>:<k>")
     _add_seed_out(p)
     p.set_defaults(run=lambda a: dump_edge_list(load_graph(None, a.gen, a.seed)))
 
@@ -123,14 +129,17 @@ def build_parser() -> _Parser:
     _add_budget(p)
     _add_run(p)
     _add_trials(p)
-    p.add_argument("--keep-estimates", action="store_true")
+    p.add_argument("--keep-estimates", action="store_true",
+                   help="list every trial's estimate (JSON output only)")
     p.set_defaults(run=lambda a: run_trials(_config_from(a)))
 
     p = sub.add_parser("verify-bounds", help="ordered-structure bound measurements")
     _add_source(p)
     _add_seed_out(p)
-    p.add_argument("--orderings", type=int, required=True)
-    p.add_argument("--eps0", type=float, required=True)
+    p.add_argument("--orderings", type=int, required=True,
+                   help="noisy-degree orderings to measure")
+    p.add_argument("--eps0", type=float, required=True,
+                   help="degree-publication budget of each ordering")
     p.set_defaults(run=lambda a: verify_bounds(
         _load_source(a), a.orderings, a.eps0, a.seed
     ))

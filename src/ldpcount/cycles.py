@@ -28,6 +28,8 @@ from .protocol import (
 )
 
 PATH_TUPLE_LIMIT = 10**9
+# Cells of one path-extension grid; a larger frontier is split into row blocks.
+_BLOCK_CELLS = 1 << 16
 
 
 def require_odd_k(k: int) -> None:
@@ -79,53 +81,54 @@ def admissible(u, v, w, i):
     return ((u < v) != (v < w)) | (v > i)
 
 
-def _admissible_sum_dfs(
-    i: int,
-    j: int,
-    kappa: int,
-    k: int,
-    rows,
-    collector: dict | None = None,
-) -> float:
-    """Enumerate distinct-vertex tuples from j to kappa, k-2 edges long.
+def _path_grids(i: int, paths: np.ndarray, prods: np.ndarray, levels: int, ahat):
+    """Yield (paths, ext, keep) grids: the paths ``levels`` vertices longer.
 
-    ``rows`` is the unbiased matrix read as rows[u][v]; Python rows
-    (``ahat.tolist()``) are the fast form.  Products with a zero factor are
-    pruned, which makes the no-noise mode walk only real edges.
-    ``collector`` (no-noise instrumentation) counts each tuple with product
-    exactly 1 under its canonical cycle key.
+    Rows of ``paths`` are distinct-vertex paths (i, j, ...); the last vertex
+    v is a grid column, ext[r, v] is row r's product times Â[last, v], and
+    ``keep`` drops zero products, used vertices and inadmissible triples.
+    Grids come in lexicographic order, at most _BLOCK_CELLS cells each.
     """
-    used = bytearray(len(rows))
-    used[i] = used[j] = used[kappa] = 1
-    path = [j]
+    v = np.arange(ahat.shape[0])
+    step = max(1, _BLOCK_CELLS // ahat.shape[0])
+    for lo in range(0, len(prods), step):
+        block = paths[lo : lo + step]
+        ext = prods[lo : lo + step, None] * ahat[block[:, -1]]
+        keep = (ext != 0.0) & admissible(block[:, -2:-1], block[:, -1:], v, i)
+        keep &= (block[:, :, None] != v).all(1)
+        if levels == 1:
+            yield block, ext, keep
+            continue
+        rows, cols = np.nonzero(keep)
+        more = np.column_stack((block[rows], cols))
+        yield from _path_grids(i, more, ext[rows, cols], levels - 1, ahat)
+
+
+def _admissible_sum(i: int, below, above, k: int, ahat, collector) -> float:
+    """Sum admissible products of distinct-vertex tuples (j, l2, ..., kappa).
+
+    Bit for bit a depth-first sum: tuples in lexicographic order, products
+    formed left to right from 1.0, zero terms dropped, each (j, kappa) pair
+    summed sequentially from 0.0, pair totals added in below x above order.
+    ``collector`` counts each tuple of product exactly 1 by its cycle key.
+    """
+    v = np.arange(ahat.shape[0])
     total = 0.0
-
-    def extend(prev2: int, prev1: int, prod: float) -> None:
-        nonlocal total
-        if len(path) == k - 2:
-            p = prod * rows[prev1][kappa]
-            if p == 0.0 or not (
-                admissible(prev2, prev1, kappa, i) and admissible(prev1, kappa, i, i)
-            ):
-                return
-            total += p
-            if collector is not None and p == 1.0:
-                key = canonical_cycle((i, *path, kappa))
-                collector[key] = collector.get(key, 0) + 1
-            return
-        for v, entry in enumerate(rows[prev1]):
-            if used[v]:
-                continue
-            p = prod * entry
-            if p == 0.0 or not admissible(prev2, prev1, v, i):
-                continue
-            used[v] = 1
-            path.append(v)
-            extend(prev1, v, p)
-            path.pop()
-            used[v] = 0
-
-    extend(i, j, 1.0)
+    for j in below:
+        pair = dict.fromkeys(above, 0.0)
+        start = np.array([[i, j]]), np.array([1.0])
+        for paths, ext, keep in _path_grids(i, *start, k - 3, ahat):
+            for kappa in above:
+                p = ext * ahat[:, kappa]
+                ok = keep & (p != 0.0) & (v != kappa) & (paths != kappa).all(1)[:, None]
+                ok &= admissible(paths[:, -1:], v, kappa, i)  # (v, kappa, i): kappa > i
+                pair[kappa] = float(np.add.accumulate(np.append(pair[kappa], p[ok]))[-1])
+                if collector is not None:
+                    for r, c in zip(*np.nonzero(ok & (p == 1.0))):
+                        key = canonical_cycle((*map(int, paths[r]), int(c), kappa))
+                        collector[key] = collector.get(key, 0) + 1
+        for kappa in above:
+            total += pair[kappa]
     return total
 
 
@@ -159,15 +162,12 @@ def user_cycle_estimate(
         return 0.0
     _check_path_tuples(fork_count, obf.n, k, f"user {i}")
     ahat = obf.unbiased
-    grid = k == 5 and collector is None
-    rows = None if grid else ahat.tolist()
+    if k > 5 or collector is not None:
+        return _admissible_sum(i, below, above, k, ahat, collector)
     total = 0.0
     for j in below:
         for kappa in above:
-            if grid:
-                total += _admissible_sum_k5_grid(i, j, kappa, ahat)
-            else:
-                total += _admissible_sum_dfs(i, j, kappa, k, rows, collector)
+            total += _admissible_sum_k5_grid(i, j, kappa, ahat)
     return total
 
 

@@ -1,12 +1,16 @@
-"""Independent brute-force counters based on subset/permutation enumeration.
+"""Independent brute-force references for the library's counters and sums.
 
-These deliberately avoid the library's DFS machinery so the two routes act
-as oracles for each other.  Only usable at tiny sizes.
+The counters enumerate subsets and permutations; they deliberately avoid the
+library's path walker so the two routes act as oracles for each other.
+``_admissible_sum_dfs`` is the depth-first, one-term-at-a-time admissible
+path sum whose float result the vectorized cycle route reproduces bit for
+bit.  Only usable at tiny sizes.
 """
 
 from itertools import combinations, permutations
 
 from ldpcount import Graph
+from ldpcount.cycles import admissible, canonical_cycle
 from ldpcount.oracles import has_monotone_triple
 
 
@@ -55,4 +59,53 @@ def brute_count_monotone_cycles(graph: Graph, length: int) -> int:
         for seq in cyclic_arrangements(subset):
             if _is_cycle(graph, seq) and has_monotone_triple(seq):
                 total += 1
+    return total
+
+
+def _admissible_sum_dfs(
+    i: int,
+    j: int,
+    kappa: int,
+    k: int,
+    rows,
+    collector: dict | None = None,
+) -> float:
+    """Enumerate distinct-vertex tuples from j to kappa, k-2 edges long.
+
+    ``rows`` is the unbiased matrix read as rows[u][v].  Products with a zero
+    factor are pruned, which makes the no-noise mode walk only real edges.
+    ``collector`` (no-noise instrumentation) counts each tuple with product
+    exactly 1 under its canonical cycle key.
+    """
+    used = bytearray(len(rows))
+    used[i] = used[j] = used[kappa] = 1
+    path = [j]
+    total = 0.0
+
+    def extend(prev2: int, prev1: int, prod: float) -> None:
+        nonlocal total
+        if len(path) == k - 2:
+            p = prod * rows[prev1][kappa]
+            if p == 0.0 or not (
+                admissible(prev2, prev1, kappa, i) and admissible(prev1, kappa, i, i)
+            ):
+                return
+            total += p
+            if collector is not None and p == 1.0:
+                key = canonical_cycle((i, *path, kappa))
+                collector[key] = collector.get(key, 0) + 1
+            return
+        for v, entry in enumerate(rows[prev1]):
+            if used[v]:
+                continue
+            p = prod * entry
+            if p == 0.0 or not admissible(prev2, prev1, v, i):
+                continue
+            used[v] = 1
+            path.append(v)
+            extend(prev1, v, p)
+            path.pop()
+            used[v] = 0
+
+    extend(i, j, 1.0)
     return total

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -5,7 +6,7 @@ import math
 import pytest
 
 from ldpcount import derive_seed, experiments, mechanisms, oracles, substream
-from ldpcount.cli import main
+from ldpcount.cli import build_parser, main
 
 BUDGET = ("--eps0", ".5", "--eps1", "1", "--eps2", "1")
 
@@ -220,6 +221,18 @@ def test_usage_error_is_validation_exit_1(capsys):
     assert code == 1 and out == ""
     assert "error: argument --eps0: invalid float value: 'abc'" in err
     assert run_cli(capsys, "no-such-command")[0] == 1
+
+
+def test_every_subcommand_argument_has_help():
+    (sub,) = (a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    missing = [
+        f"{name} {'/'.join(action.option_strings) or action.dest}"
+        for name, parser in sub.choices.items()
+        for action in parser._actions
+        if not action.help
+    ]
+    assert missing == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +21,12 @@ from ldpcount import (
     user_cycle_noise,
 )
 from ldpcount import cycles, derive_seed, make_graph
-from ldpcount.cycles import _admissible_sum_dfs, admissible, canonical_cycle
+from ldpcount.cycles import admissible, canonical_cycle
 from ldpcount.mechanisms import assemble_obfuscated
 from ldpcount.oracles import count_cycles, enumerate_cycles
+from ldpcount.protocol import split_forks
+
+from _brute import _admissible_sum_dfs
 
 INF = math.inf
 
@@ -118,6 +122,51 @@ def test_grid_route_matches_dfs_on_noisy_entries():
                 dfs = _admissible_sum_dfs(i, j, kappa, 5, ahat)
                 grid = user_cycle_estimate(i, (j, kappa), obf, 5)
                 assert grid == pytest.approx(dfs, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [7, 9])
+@pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "no-noise"])
+@pytest.mark.parametrize("spec", ["er:6:0.9", "er:10:0.4", "ba:12:2", "er:11:0.35"])
+def test_path_route_matches_dfs_bit_for_bit(spec, noisy, k):
+    # The vectorized route keeps the DFS's tuples, products and additions,
+    # so every fork pair and every user agrees to the last bit, and the
+    # multiplicity keys agree.  er:6:0.9 has n < k: every sum is 0.0.
+    g = make_graph(spec, derive_seed(k, "graph"))
+    obf = _noisy_obf(g, 1.0, seed=5) if noisy else assemble_obfuscated(g, INF)
+    rows = obf.unbiased.tolist()
+    fork_users = nonzero = 0
+    for i in range(g.n):
+        below, above = split_forks(g.adj[i], i)
+        fork_users += bool(below and above)
+        dfs_total, dfs_keys, keys = 0.0, {}, {}
+        for j in below:
+            for kappa in above:
+                dfs = _admissible_sum_dfs(i, j, kappa, k, rows, dfs_keys)
+                pair = user_cycle_estimate(i, (j, kappa), obf, k)
+                assert pair.hex() == dfs.hex(), (i, j, kappa)
+                dfs_total += dfs
+        got = user_cycle_estimate(i, g.adj[i], obf, k, collector=keys)
+        assert got.hex() == dfs_total.hex(), i
+        assert keys == dfs_keys
+        nonzero += got != 0.0
+    assert 0 < fork_users < g.n  # some users have an empty below or above
+    assert (nonzero > 0) == (g.n >= k)
+
+
+def test_path_route_memory_does_not_grow_with_the_paths():
+    # k=9 with one fork pair on the noisy complete graph K22: no product is
+    # zero, and expanding each frontier whole peaks near 390 MiB traced.
+    n = 22
+    obf = _noisy_obf(complete_graph(n), 1.0, seed=3)
+    obf.unbiased  # built before the measurement
+    tracemalloc.start()
+    try:
+        total = user_cycle_estimate(n // 2, (0, n - 1), obf, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total != 0.0
+    assert peak < 32 * 2**20
 
 
 def test_user_cycle_noise_rules():
