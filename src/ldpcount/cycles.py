@@ -132,18 +132,37 @@ def _admissible_sum(i: int, below, above, k: int, ahat, collector) -> float:
     return total
 
 
-def _admissible_sum_k5_grid(i: int, j: int, kappa: int, ahat: np.ndarray) -> float:
-    """Vectorized k=5 case: cycles (i, j, l2, l3, kappa) over the (l2, l3) grid."""
+def _k5_user_sum(i: int, below, above, ahat: np.ndarray) -> float:
+    """k=5 case: cycles (i, j, l2, l3, kappa) over (l2, l3) grids, all fork pairs.
+
+    Each pair's masked cells are taken in row-major (l2, l3) order, their
+    products formed as (Â[j,l2]·Â[l3,kappa])·Â[l2,l3] and summed by numpy's
+    pairwise ``sum``; pair totals are added from 0.0 in below x above order.
+    The mask parts that depend on neither j nor kappa are built once per
+    user, those that depend on j once per j.
+    """
     ids = np.arange(ahat.shape[0])
-    # distinct vertices: l2 and l3 outside {i, j, kappa}, and l2 != l3
-    outside = (ids != i) & (ids != j) & (ids != kappa)
-    allowed = np.outer(outside, outside)
-    np.fill_diagonal(allowed, False)
-    cycle = (i, j, ids[:, None], ids[None, :], kappa, i)
-    for u, v, w in zip(cycle, cycle[1:], cycle[2:]):
-        allowed &= admissible(u, v, w, i)
-    weights = np.multiply.outer(ahat[j], ahat[:, kappa]) * ahat
-    return float(weights[allowed].sum())
+    l2, l3 = ids[:, None], ids[None, :]
+    # Every kappa > i gives the same (l2, l3, kappa) and (l3, kappa, i)
+    # masks: the first reads kappa only through l3 < kappa, which holds
+    # wherever l3 <= i (a center l3 > i is admissible anyway), and the
+    # second is never monotone.
+    user = (l2 != l3) & (l2 != i) & (l3 != i)
+    user &= admissible(l2, l3, above[0], i) & admissible(l3, above[0], i, i)
+    mask = np.empty_like(user)
+    weights = np.empty(ahat.shape)
+    total = 0.0
+    for j in below:
+        fork = user & admissible(i, j, l2, i) & admissible(j, l2, l3, i)
+        fork[j] = fork[:, j] = False
+        for kappa in above:
+            np.copyto(mask, fork)
+            mask[kappa] = mask[:, kappa] = False
+            # Â is symmetric, so its contiguous row kappa is column kappa
+            np.multiply.outer(ahat[j], ahat[kappa], out=weights)
+            weights *= ahat
+            total += float(weights[mask].sum())
+    return total
 
 
 def user_cycle_estimate(
@@ -164,11 +183,7 @@ def user_cycle_estimate(
     ahat = obf.unbiased
     if k > 5 or collector is not None:
         return _admissible_sum(i, below, above, k, ahat, collector)
-    total = 0.0
-    for j in below:
-        for kappa in above:
-            total += _admissible_sum_k5_grid(i, j, kappa, ahat)
-    return total
+    return _k5_user_sum(i, below, above, ahat)
 
 
 def user_cycle_noise(c_hat, d_hat, walk_sum: float, eps1: float, eps2: float, u=None):

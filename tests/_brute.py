@@ -4,10 +4,14 @@ The counters enumerate subsets and permutations; they deliberately avoid the
 library's path walker so the two routes act as oracles for each other.
 ``_admissible_sum_dfs`` is the depth-first, one-term-at-a-time admissible
 path sum whose float result the vectorized cycle route reproduces bit for
-bit.  Only usable at tiny sizes.
+bit, and ``_admissible_sum_k5_grid`` is the one-grid-per-fork-pair k=5 sum
+whose float result the per-user k=5 route reproduces bit for bit.  Only
+usable at tiny sizes.
 """
 
 from itertools import combinations, permutations
+
+import numpy as np
 
 from ldpcount import Graph
 from ldpcount.cycles import admissible, canonical_cycle
@@ -109,3 +113,17 @@ def _admissible_sum_dfs(
 
     extend(i, j, 1.0)
     return total
+
+
+def _admissible_sum_k5_grid(i: int, j: int, kappa: int, ahat: np.ndarray) -> float:
+    """Vectorized k=5 case: cycles (i, j, l2, l3, kappa) over the (l2, l3) grid."""
+    ids = np.arange(ahat.shape[0])
+    # distinct vertices: l2 and l3 outside {i, j, kappa}, and l2 != l3
+    outside = (ids != i) & (ids != j) & (ids != kappa)
+    allowed = np.outer(outside, outside)
+    np.fill_diagonal(allowed, False)
+    cycle = (i, j, ids[:, None], ids[None, :], kappa, i)
+    for u, v, w in zip(cycle, cycle[1:], cycle[2:]):
+        allowed &= admissible(u, v, w, i)
+    weights = np.multiply.outer(ahat[j], ahat[:, kappa]) * ahat
+    return float(weights[allowed].sum())

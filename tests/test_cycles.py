@@ -13,7 +13,9 @@ from ldpcount import (
     complete_graph,
     cycle_graph,
     estimate_odd_cycles,
+    gen_ba,
     gen_er,
+    gen_ktree,
     petersen_graph,
     server_walk_sum,
     substream,
@@ -26,7 +28,7 @@ from ldpcount.mechanisms import assemble_obfuscated
 from ldpcount.oracles import count_cycles, enumerate_cycles
 from ldpcount.protocol import split_forks
 
-from _brute import _admissible_sum_dfs
+from _brute import _admissible_sum_dfs, _admissible_sum_k5_grid
 
 INF = math.inf
 
@@ -124,6 +126,60 @@ def test_grid_route_matches_dfs_on_noisy_entries():
                 assert grid == pytest.approx(dfs, rel=1e-9, abs=1e-9)
 
 
+def test_k5_hoisted_masks_are_the_same_for_every_kappa_above_i():
+    # The k=5 route builds the (l2, l3, kappa) and (l3, kappa, i) masks once
+    # per user, at its first kappa above i; every kappa > i must agree.
+    for i, l2, l3 in itertools.product(range(8), repeat=3):
+        for kappa in range(i + 1, 10):
+            assert admissible(l2, l3, kappa, i) == admissible(l2, l3, i + 1, i)
+            assert admissible(l3, kappa, i, i) == admissible(l3, i + 1, i, i)
+
+
+@pytest.mark.parametrize("eps1", [0.1, 1.0, INF], ids=["eps0.1", "eps1", "no-noise"])
+@pytest.mark.parametrize(
+    "spec", ["er:6:0.9", "er:10:0.4", "ba:12:2", "er:11:0.35", "ba:24:2"]
+)
+def test_k5_route_matches_per_pair_grid_bit_for_bit(spec, eps1):
+    # The per-user route keeps each fork pair's masked cells, products and
+    # pairwise sum, and adds the pair totals from 0.0 in below x above order.
+    g = make_graph(spec, derive_seed(5, "graph"))
+    obf = _noisy_obf(g, eps1, seed=5)
+    ahat = obf.unbiased
+    nonzero = 0
+    for i in range(g.n):
+        below, above = split_forks(g.adj[i], i)
+        want = 0.0
+        for j in below:
+            for kappa in above:
+                pair = _admissible_sum_k5_grid(i, j, kappa, ahat)
+                got = user_cycle_estimate(i, (j, kappa), obf, 5)
+                assert got.hex() == pair.hex(), (i, j, kappa)
+                want += pair
+        got = user_cycle_estimate(i, g.adj[i], obf, 5)
+        assert got.hex() == want.hex(), i
+        nonzero += got != 0.0
+    assert nonzero > 0
+
+
+def test_k5_route_memory_does_not_grow_with_the_forks():
+    # 16 x 16 fork pairs on noisy K256: masks or weights kept for every j or
+    # every kappa would add 16 n^2 bytes or more.  n is large enough that
+    # numpy's fixed iterator buffers are a small part of n^2.
+    n = 256
+    i = n // 2
+    obf = _noisy_obf(complete_graph(n), 1.0, seed=3)
+    obf.unbiased  # built before the measurement
+    row = (*range(i - 16, i), *range(i + 1, i + 17))
+    tracemalloc.start()
+    try:
+        total = user_cycle_estimate(i, row, obf, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total != 0.0
+    assert peak < 24 * n * n
+
+
 @pytest.mark.parametrize("k", [7, 9])
 @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "no-noise"])
 @pytest.mark.parametrize("spec", ["er:6:0.9", "er:10:0.4", "ba:12:2", "er:11:0.35"])
@@ -194,10 +250,13 @@ def test_user_cycle_noise_variance():
 
 
 def test_no_noise_exactness_k5():
-    for idx in range(8):
-        g = gen_er(8 + idx % 5, 0.3, seed=idx)
+    # every graph family: ER, BA, k-tree, and named graphs (C7 has no 5-cycle)
+    graphs = [gen_er(8 + idx % 5, 0.3, seed=idx) for idx in range(8)]
+    graphs += [gen_ba(40, 2, seed=4), gen_ba(30, 3, seed=9), gen_ktree(30, 3, seed=2)]
+    graphs += [petersen_graph(), cycle_graph(5), cycle_graph(7), complete_graph(7)]
+    for idx, g in enumerate(graphs):
         r = estimate_odd_cycles(g, 5, None, seed=idx, mode="no-noise")
-        assert r.estimate == count_cycles(g, 5)
+        assert r.estimate == count_cycles(g, 5), idx
 
 
 def test_no_noise_exactness_k7():
@@ -269,33 +328,41 @@ def test_canonical_cycle_forms():
 
 
 def test_linearity_in_single_unbiased_entry():
-    # per-user sums are linear in each unbiased entry holding others fixed
+    # Per-user sums are linear in each unbiased edge estimate holding the
+    # others fixed: a product visits each edge {u, v} at most once.  The
+    # library's k=5 route is checked against the DFS on every bumped matrix.
     g = gen_er(10, 0.4, seed=6)
     obf = _noisy_obf(g, 1.0, seed=2)
     base = obf.unbiased.copy()
     i = 5
-    below = [j for j in g.adj[i] if j < i]
-    above = [k for k in g.adj[i] if k > i]
-    if not (below and above):
-        pytest.skip("seed produced no forks for the probed user")
+    below, above = split_forks(g.adj[i], i)
+    assert below and above
 
-    def total(matrix):
+    def dfs(matrix):
         s = 0.0
         for j in below:
             for kappa in above:
                 s += _admissible_sum_dfs(i, j, kappa, 5, matrix)
         return s
 
+    def library(matrix):
+        return cycles._k5_user_sum(i, below, above, matrix)
+
     u, v = 1, 7
-    f0 = total(base)
-    bump1 = total(_bump(base, u, v, 1.0)) - f0
-    bump2 = total(_bump(base, u, v, 2.0)) - f0
-    assert bump2 == pytest.approx(2 * bump1, rel=1e-9, abs=1e-9)
+    bumped = [base, _bump(base, u, v, 1.0), _bump(base, u, v, 2.0)]
+    for route in (dfs, library):
+        f0, f1, f2 = map(route, bumped)
+        assert f1 != f0
+        assert f2 - f0 == pytest.approx(2 * (f1 - f0), rel=1e-9, abs=1e-9)
+    for matrix in bumped:
+        assert library(matrix) == pytest.approx(dfs(matrix), rel=1e-9, abs=1e-9)
 
 
 def _bump(matrix, u, v, h):
+    """Add h to the edge estimate {u, v}, keeping the matrix symmetric."""
     out = matrix.copy()
     out[u, v] += h
+    out[v, u] += h
     return out
 
 
