@@ -256,7 +256,7 @@ class ScalingReport(Document):
     gen_template: str
     sizes: tuple[int, ...]
     summaries: tuple[TrialSummary, ...]
-    slope: float | None  # None when every RMSE is exactly zero (exact mode)
+    slope: float | None  # None when any RMSE is exactly zero: log 0 has no fit
 
     def to_csv(self) -> str:
         rows = (f"{n},{s.csv_row()}\n" for n, s in zip(self.sizes, self.summaries))
@@ -268,7 +268,9 @@ def error_scaling(config: ExperimentConfig, sizes) -> ScalingReport:
 
     ``config.gen`` is a template with an ``{n}`` placeholder, e.g.
     ``ba:{n}:3``.  Size number idx runs ``config`` with ``{n}`` replaced by
-    the size and the seed derived from (config.seed, "size", idx).
+    the size and the seed derived from (config.seed, "size", idx).  The
+    slope is None when any size's RMSE is exactly zero (always so in
+    no-noise mode), since log 0 has no fit.
     """
     sizes = tuple(int(n) for n in sizes)
     if len(sizes) < 3 or list(sizes) != sorted(set(sizes)):

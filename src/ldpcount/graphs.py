@@ -11,7 +11,7 @@ import heapq
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import IO, Iterable
 
 import numpy as np
@@ -250,19 +250,47 @@ def degeneracy(graph: Graph) -> tuple[int, list[int]]:
     return delta, order
 
 
-def require_permutation(phi: np.ndarray, n: int) -> None:
-    """Raise ValidationError unless ``phi`` is a permutation of 0..n-1."""
-    if not np.array_equal(np.sort(phi), np.arange(n)):
+def edge_array(graph: Graph) -> np.ndarray:
+    """``graph.edges`` as an (m, 2) int64 array, same order."""
+    flat = chain.from_iterable(graph.edges)
+    return np.fromiter(flat, dtype=np.int64, count=2 * graph.m).reshape(-1, 2)
+
+
+def require_permutation(phi, n: int) -> np.ndarray:
+    """``phi`` as int64, raising ValidationError unless it permutes 0..n-1.
+
+    Entries must have an integer type: a float would be truncated by the cast.
+    """
+    arr = np.asarray(phi)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValidationError(f"phi entries must be integers, got {arr.dtype}")
+    arr = arr.astype(np.int64)
+    if not np.array_equal(np.sort(arr), np.arange(n)):
         raise ValidationError("phi is not a bijection on [0, n)")
+    return arr
 
 
 def relabel(graph: Graph, phi) -> Graph:
-    """Rename node i to phi(i); the result is isomorphic to the input."""
-    phi = np.asarray(phi, dtype=np.int64)
-    require_permutation(phi, graph.n)
-    return Graph.from_edges(
-        graph.n, ((int(phi[u]), int(phi[v])) for u, v in graph.edges)
+    """Rename node i to phi(i); the result is isomorphic to the input.
+
+    The renamed edges are a simple graph by construction, so the canonical
+    ``edges`` and ``adj`` are built by sorting pair keys lo*n + hi, without
+    ``from_edges``'s per-edge validation.
+    """
+    n = graph.n
+    phi = require_permutation(phi, n)
+    ends = np.sort(phi[edge_array(graph)], axis=1)
+    lo, hi = ends.T
+    keys = np.sort(lo * n + hi)
+    arcs = np.sort(np.concatenate([keys, hi * n + lo]))  # both directions
+    width = max(n, 1)  # no keys to decode when n = 0
+    edges = tuple(zip((keys // width).tolist(), (keys % width).tolist()))
+    targets = (arcs % width).tolist()
+    stops = np.cumsum(np.bincount(arcs // width, minlength=n)).tolist()
+    adj = tuple(
+        tuple(targets[start:stop]) for start, stop in zip([0, *stops], stops)
     )
+    return Graph(n=n, edges=edges, adj=adj)
 
 
 @dataclass(frozen=True)

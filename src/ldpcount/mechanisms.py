@@ -21,7 +21,7 @@ import numpy as np
 
 from .documents import plain
 from .errors import ResourceLimitError, ValidationError
-from .graphs import Graph
+from .graphs import Graph, edge_array
 
 INF = math.inf
 
@@ -34,6 +34,10 @@ BUDGET_SLACK = 1e-12
 
 # Bound on the server's dense matrices: 9*n*n bytes, the bits plus unbiased.
 DENSE_BYTES_LIMIT = 4 * 2**30
+
+# Columns the RR mirror fills per pass; the panel's source rows stay in
+# cache while their transpose is read.
+_PANEL = 256
 
 # Largest eps whose exp is finite; above it unbias takes its eps=inf limit.
 _MAX_EXP_ARG = math.log(sys.float_info.max)
@@ -185,7 +189,7 @@ def assemble_obfuscated(graph: Graph, eps: float, u_rows=None) -> ObfuscatedGrap
             f"n={n} needs {9 * n * n} dense bytes > DENSE_BYTES_LIMIT; shrink n"
         )
     bits = np.zeros((n, n), dtype=np.uint8)
-    edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+    edges = edge_array(graph)
     bits[edges[:, 1], edges[:, 0]] = 1
     if eps != INF:
         rows = iter(() if u_rows is None else u_rows)
@@ -196,8 +200,24 @@ def assemble_obfuscated(graph: Graph, eps: float, u_rows=None) -> ObfuscatedGrap
                 raise ValidationError(f"user {i}: {exc}") from None
         if next(rows, None) is not None:
             raise ValidationError(f"u_rows yields more than {n} rows, one per user")
-    bits = bits + bits.T
+    _mirror_lower(bits)
     return ObfuscatedGraph(bits=bits, eps=eps)
+
+
+def _mirror_lower(bits: np.ndarray) -> None:
+    """Copy the strict lower triangle onto the zero upper one, in place.
+
+    Same bits as ``bits + bits.T``, but without a second n*n array and
+    without reading the transpose one byte per cache line: each column
+    panel [lo, hi) takes the transpose of the row panel below it, and the
+    diagonal block adds its own transpose (numpy buffers the overlap).
+    """
+    n = bits.shape[0]
+    for lo in range(0, n, _PANEL):
+        hi = min(lo + _PANEL, n)
+        bits[:lo, lo:hi] = bits[lo:hi, :lo].T
+        block = bits[lo:hi, lo:hi]
+        block += block.T
 
 
 def project_mu(neighbors, cap: int):

@@ -51,7 +51,7 @@ class NodeOrdering:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "NodeOrdering":
         return cls(
-            phi=np.asarray(doc["phi"], dtype=np.int64),
+            phi=require_permutation(doc["phi"], len(doc["phi"])),
             noisy_degrees=np.asarray(doc["noisy_degrees"], dtype=np.float64),
             eps0=float(doc["eps0"]),
         )

@@ -31,7 +31,7 @@ def user_triangle_estimate(i: int, projected_row, obf: ObfuscatedGraph) -> float
     below, above = split_forks(tuple(projected_row), i)
     if not below or not above:
         return 0.0
-    return float(obf.unbiased[np.ix_(below, above)].sum())
+    return float(obf.unbiased[np.array(below)[:, None], np.array(above)].sum())
 
 
 def user_triangle_noise(t_hat, d_hat, eps1: float, eps2: float, u=None):

@@ -5,15 +5,18 @@ library's path walker so the two routes act as oracles for each other.
 ``_admissible_sum_dfs`` is the depth-first, one-term-at-a-time admissible
 path sum whose float result the vectorized cycle route reproduces bit for
 bit, and ``_admissible_sum_k5_grid`` is the one-grid-per-fork-pair k=5 sum
-whose float result the per-user k=5 route reproduces bit for bit.  Only
-usable at tiny sizes.
+whose float result the per-user k=5 route reproduces bit for bit.  The
+server-layer references (``_assemble_bits_lower_plus_transpose``,
+``_unbiased_one_shot``, ``_relabel_from_edges``, ``_fork_sum_ix``) are the
+direct forms that the library's panel mirror, array relabel and fork sums
+reproduce bit for bit.  Only usable at tiny sizes.
 """
 
 from itertools import combinations, permutations
 
 import numpy as np
 
-from ldpcount import Graph
+from ldpcount import Graph, randomize_response_row, unbias
 from ldpcount.cycles import admissible, canonical_cycle
 from ldpcount.oracles import has_monotone_triple
 
@@ -127,3 +130,39 @@ def _admissible_sum_k5_grid(i: int, j: int, kappa: int, ahat: np.ndarray) -> flo
         allowed &= admissible(u, v, w, i)
     weights = np.multiply.outer(ahat[j], ahat[:, kappa]) * ahat
     return float(weights[allowed].sum())
+
+
+def _assemble_bits_lower_plus_transpose(graph: Graph, eps: float, u_rows):
+    """The RR matrix as one ``lower + lower.T``: user i randomizes row i below i."""
+    n = graph.n
+    lower = np.zeros((n, n), dtype=np.uint8)
+    edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+    lower[edges[:, 1], edges[:, 0]] = 1
+    if eps != float("inf"):
+        rows = iter(u_rows)
+        for i in range(n):
+            lower[i, :i] = randomize_response_row(lower[i, :i], eps, next(rows))
+    return lower + lower.T
+
+
+def _unbiased_one_shot(bits: np.ndarray, eps: float) -> np.ndarray:
+    """One ``unbias`` over the whole bit matrix, diagonal zeroed."""
+    a = unbias(bits, eps)
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def _relabel_from_edges(graph: Graph, phi) -> Graph:
+    """Rename node i to phi[i] through the validating constructor."""
+    return Graph.from_edges(
+        graph.n, ((int(phi[u]), int(phi[v])) for u, v in graph.edges)
+    )
+
+
+def _fork_sum_ix(i: int, projected_row, unbiased: np.ndarray) -> float:
+    """Pairwise sum of the (below i) x (above i) block taken with ``np.ix_``."""
+    below = [j for j in projected_row if j < i]
+    above = [k for k in projected_row if k > i]
+    if not below or not above:
+        return 0.0
+    return float(unbiased[np.ix_(below, above)].sum())

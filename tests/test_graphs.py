@@ -26,6 +26,8 @@ from ldpcount import (
 )
 from ldpcount.oracles import count_cycles, count_triangles
 
+from _brute import _relabel_from_edges
+
 
 def test_load_basic_path():
     g = load_edge_list("0 1\n1 2")
@@ -166,6 +168,50 @@ def test_relabel_identity_and_isomorphism():
 def test_relabel_rejects_non_bijection():
     with pytest.raises(ValidationError):
         relabel(path_graph(3), [0, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        gen_ba(120, 3, seed=2),
+        gen_er(90, 0.08, seed=3),
+        gen_ktree(40, 3, seed=4),
+        petersen_graph(),
+        path_graph(9),
+        complete_graph(7),
+        Graph.from_edges(6, []),
+        Graph.from_edges(0, []),
+        Graph.from_edges(1, []),
+    ],
+    ids=["ba", "er", "ktree", "petersen", "path", "complete", "edgeless", "n0", "n1"],
+)
+def test_relabel_is_a_canonical_graph(graph):
+    rng = np.random.default_rng(graph.n + graph.m)
+    for _ in range(3):
+        phi = rng.permutation(graph.n)
+        got = relabel(graph, phi)
+        assert got == Graph.from_edges(graph.n, got.edges)
+        assert got == _relabel_from_edges(graph, phi)
+        assert all(type(v) is int for e in got.edges for v in e)
+        assert all(type(v) is int for row in got.adj for v in row)
+    if graph.n >= 2:
+        clash = np.arange(graph.n)
+        clash[-1] = 0
+        with pytest.raises(ValidationError, match="bijection"):
+            relabel(graph, clash)
+    with pytest.raises(ValidationError, match="bijection"):
+        relabel(graph, np.arange(graph.n + 1))
+
+
+def test_relabel_rejects_non_integer_phi():
+    # the int64 cast used to truncate these to the identity
+    for phi in ([0.9, 1.5, 2.2], [2.0, 1.0, 0.0], ["0", "1", "2"], [True, False, True]):
+        with pytest.raises(ValidationError, match="must be integers"):
+            relabel(path_graph(3), phi)
+    assert relabel(path_graph(3), np.array([2, 1, 0], dtype=np.uint8)).edges == (
+        (0, 1),
+        (1, 2),
+    )
 
 
 def test_graph_stats_examples():

@@ -106,6 +106,15 @@ def test_ordering_json_round_trip():
     assert set(doc) == {"phi", "noisy_degrees", "eps0"}
 
 
+def test_ordering_json_rejects_non_integer_phi():
+    # the int64 cast used to load [1.7, 0.2, 2.9] as the permutation [1, 0, 2]
+    doc = {"phi": [1.7, 0.2, 2.9], "noisy_degrees": [1.0, 2.0, 0.5], "eps0": 1.0}
+    with pytest.raises(ValidationError, match="must be integers"):
+        NodeOrdering.from_json_dict(doc)
+    doc["phi"] = [1, 0, 2]
+    assert NodeOrdering.from_json_dict(doc).phi.tolist() == [1, 0, 2]
+
+
 def test_degree_deviation_bound_small_scale():
     # P(any |noisy - true| >= ln(n/zeta)/eps0) <= zeta, small-sample version
     g = gen_er(50, 0.1, seed=3)

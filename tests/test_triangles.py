@@ -20,9 +20,12 @@ from ldpcount import (
     user_triangle_estimate,
     user_triangle_noise,
 )
-from ldpcount.mechanisms import assemble_obfuscated
+from ldpcount.experiments import make_graph
+from ldpcount.mechanisms import assemble_obfuscated, derive_seed
 from ldpcount.oracles import count_triangles
-from ldpcount.protocol import resolve_mode
+from ldpcount.protocol import resolve_mode, run_ordered_stage
+
+from _brute import _fork_sum_ix
 
 INF = math.inf
 
@@ -182,3 +185,15 @@ def test_clipping_bias_stays_within_corollary_envelope():
     measured = abs(ests.mean() - exact)
     print(f"clipping bias: measured {measured:.2f}, envelope {envelope:.2f}")
     assert measured <= envelope + 3 * stderr
+
+
+@pytest.mark.parametrize("spec", ["ba:300:3", "er:600:0.02"])
+@pytest.mark.parametrize(
+    "budget", [PrivacyBudget(0.5, 1.0, 1.0, 0.05), PrivacyBudget(INF, INF, INF, 1.0)]
+)
+def test_fork_sums_match_the_ix_block_bit_for_bit(spec, budget):
+    stage = run_ordered_stage(make_graph(spec, derive_seed(0, "graph")), budget, 9, 0)
+    unbiased = stage.obf.unbiased
+    for i, row in enumerate(stage.projected):
+        got = user_triangle_estimate(i, row, stage.obf)
+        assert got.hex() == _fork_sum_ix(i, row, unbiased).hex(), i
