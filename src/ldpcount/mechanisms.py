@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .documents import plain
 from .errors import ResourceLimitError, ValidationError
@@ -43,23 +45,67 @@ _PANEL = 256
 _MAX_EXP_ARG = math.log(sys.float_info.max)
 
 
+# A string component spelled like an integer would render as that integer.
+_INT_TEXT = re.compile(r"-?[0-9]+")
+
+
+def _check_component(p) -> None:
+    """Raise ValidationError unless ``p`` renders one-to-one in a path."""
+    if isinstance(p, str):
+        if "|" in p or _INT_TEXT.fullmatch(p):
+            raise ValidationError(
+                f"a string path component may not contain '|' or be "
+                f"spelled like an integer, got {p!r}"
+            )
+    elif isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+        raise ValidationError(f"path components must be integers or strings, got {p!r}")
+
+
 def derive_seed(master: int, *path: int | str) -> int:
     """64-bit seed for a derivation path: blake2b over "master|p0|p1|...".
 
-    Components are rendered in decimal (strings verbatim) and joined with
-    '|', so distinct paths collide only with hash probability.
+    Components are integers (numpy's included), rendered in decimal, or
+    strings, taken verbatim; a string may neither contain '|' nor be spelled
+    like an integer.  The rendering is then one-to-one, so distinct paths
+    collide only with hash probability.  Anything else raises
+    ValidationError.
     """
     h = hashlib.blake2b(digest_size=8)
+    if type(master) is not int:
+        _check_component(master)
     h.update(str(master).encode())
     for p in path:
+        if type(p) is not int:  # the hot path passes plain ints
+            _check_component(p)
         h.update(b"|")
         h.update(str(p).encode())
     return int.from_bytes(h.digest(), "little")
 
 
+class _FixedKey(ISeedSequence):
+    """Seed object that hands Philox a fixed 64-bit key.
+
+    ``Philox(key=k)`` first seeds a ``SeedSequence()`` from OS entropy and
+    then overwrites the key with ``[k, 0]``.  A bit generator given an
+    ``ISeedSequence`` uses it as is, and Philox asks it for 2 uint64 words:
+    these are the same two words, with no entropy read.  Any other request
+    raises rather than key the stream differently.
+    """
+
+    def __init__(self, key: int):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or not (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
+            raise ValueError(
+                f"a fixed Philox key is 2 uint64 words, asked for {n_words} of {dtype}"
+            )
+        return np.array([self.key, 0], dtype=np.uint64)
+
+
 def substream(master: int, *path: int | str) -> np.random.Generator:
     """Independent generator for a derivation path (counter-based Philox)."""
-    return np.random.Generator(np.random.Philox(key=derive_seed(master, *path)))
+    return np.random.Generator(np.random.Philox(_FixedKey(derive_seed(master, *path))))
 
 
 def as_uniforms(u, shape: tuple[int, ...]) -> np.ndarray:

@@ -9,14 +9,17 @@ whose float result the per-user k=5 route reproduces bit for bit.  The
 server-layer references (``_assemble_bits_lower_plus_transpose``,
 ``_unbiased_one_shot``, ``_relabel_from_edges``, ``_fork_sum_ix``) are the
 direct forms that the library's panel mirror, array relabel and fork sums
-reproduce bit for bit.  Only usable at tiny sizes.
+reproduce bit for bit.  ``_substream_key_route`` builds each stream the
+way numpy documents, ``Philox(key=...)``, whose state and draws the
+library's entropy-free ``substream`` reproduces bit for bit.  Only usable
+at tiny sizes.
 """
 
 from itertools import combinations, permutations
 
 import numpy as np
 
-from ldpcount import Graph, randomize_response_row, unbias
+from ldpcount import Graph, derive_seed, randomize_response_row, unbias
 from ldpcount.cycles import admissible, canonical_cycle
 from ldpcount.oracles import has_monotone_triple
 
@@ -166,3 +169,8 @@ def _fork_sum_ix(i: int, projected_row, unbiased: np.ndarray) -> float:
     if not below or not above:
         return 0.0
     return float(unbiased[np.ix_(below, above)].sum())
+
+
+def _substream_key_route(master: int, *path) -> np.random.Generator:
+    """The derivation path's stream through ``Philox(key=...)``."""
+    return np.random.Generator(np.random.Philox(key=derive_seed(master, *path)))

@@ -15,6 +15,11 @@ The document format is written once: only ``documents.py`` names the
 
 Estimate reports are assembled once: only ``protocol.py`` calls
 ``EstimateReport(...)``, at a single site.
+
+Every generator is seeded and built where the determinism contract says:
+``Philox``, ``Generator``, ``default_rng`` and ``SeedSequence`` are called
+only in ``mechanisms.substream`` and the seeded graph generators, and never
+without an argument, which would draw OS entropy.
 """
 
 import ast
@@ -158,3 +163,59 @@ def test_estimate_report_built_at_one_site_in_protocol():
         )
     ]
     assert sites == ["protocol.py"]
+
+
+GENERATOR_MAKERS = {"Philox", "Generator", "default_rng", "SeedSequence"}
+GENERATOR_SITES_ALLOWED = [
+    "graphs.gen_ba",
+    "graphs.gen_er",
+    "graphs.gen_ktree",
+    "mechanisms.substream",
+]
+
+
+def generator_constructions(tree: ast.AST, module: str) -> list[tuple[str, str, bool]]:
+    """Generator-building calls as (enclosing function, callee, has arguments).
+
+    A call outside every function is placed in ``module.<module>``.
+    """
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{module}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name in GENERATOR_MAKERS:
+                    found.append((scope, name, bool(child.args or child.keywords)))
+            visit(child, scope)
+
+    visit(tree, f"{module}.<module>")
+    return found
+
+
+def test_finds_generator_construction():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "def f(seed):\n    return np.random.default_rng(seed)\n"
+        "def g():\n    return np.random.Generator(np.random.Philox())\n"
+        "rng = default_rng()\nseq = SeedSequence(entropy=3)\nbits = rng.random(3)\n"
+    )
+    assert generator_constructions(tree, "m") == [
+        ("m.f", "default_rng", True),
+        ("m.g", "Generator", True),
+        ("m.g", "Philox", False),
+        ("m.<module>", "default_rng", False),
+        ("m.<module>", "SeedSequence", True),
+    ]
+
+
+def test_generators_are_seeded_and_built_only_where_the_contract_says():
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += generator_constructions(tree, path.stem)
+    assert sorted({scope for scope, _, _ in found}) == GENERATOR_SITES_ALLOWED
+    assert [call for call in found if not call[2]] == []

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -28,10 +29,21 @@ from ldpcount import (
     unbias_variance,
 )
 from ldpcount import mechanisms
-from ldpcount.mechanisms import ObfuscatedGraph, laplace_quantile, rr_keep_probability
+from ldpcount.mechanisms import (
+    STAGE_COUNT,
+    STAGE_DEGREE,
+    STAGE_RR,
+    ObfuscatedGraph,
+    laplace_quantile,
+    rr_keep_probability,
+)
 from ldpcount.protocol import add_noise
 
-from _brute import _assemble_bits_lower_plus_transpose, _unbiased_one_shot
+from _brute import (
+    _assemble_bits_lower_plus_transpose,
+    _substream_key_route,
+    _unbiased_one_shot,
+)
 
 INF = math.inf
 
@@ -431,3 +443,99 @@ def test_substream_deterministic_and_path_sensitive():
     assert derive_seed(42, 0, 1, 2) == derive_seed(42, 0, 1, 2)
     assert derive_seed(42, 0, 12) != derive_seed(42, 0, 1, 2)
     assert derive_seed(42, "x") != derive_seed(42, "y")
+
+
+@pytest.mark.parametrize(
+    "path, twin",
+    [(("1|2",), (1, 2)), (("a|b",), ("a", "b")), (("1",), (1,)), (("-3", "x"), (-3, "x"))],
+)
+def test_derive_seed_rejects_a_string_that_renders_like_another_path(path, twin):
+    derive_seed(0, *twin)
+    with pytest.raises(ValidationError, match="string path component"):
+        derive_seed(0, *path)
+    with pytest.raises(ValidationError, match="string path component"):
+        derive_seed(path[0], 5)
+
+
+@pytest.mark.parametrize("bad", [1.0, True, False, np.bool_(True), None, b"1", 2j])
+def test_derive_seed_rejects_a_component_that_is_no_integer_or_string(bad):
+    with pytest.raises(ValidationError, match="integers or strings"):
+        derive_seed(0, 7, bad)
+    with pytest.raises(ValidationError, match="integers or strings"):
+        derive_seed(bad, 7)
+
+
+def test_derive_seed_takes_numpy_integers_as_their_value():
+    assert derive_seed(np.int64(3), np.uint8(1), np.int32(-2)) == derive_seed(3, 1, -2)
+
+
+def assert_same_generator(a, b):
+    """Equal bit-generator states, then equal bytes from every draw kind."""
+
+    def same_state(s, t):
+        assert s.keys() == t.keys()
+        for key in s:
+            if isinstance(s[key], dict):
+                same_state(s[key], t[key])
+            else:
+                np.testing.assert_array_equal(s[key], t[key], strict=True)
+
+    same_state(a.bit_generator.state, b.bit_generator.state)
+    assert a.random() == b.random()
+    for draw in (
+        lambda g: g.random(5),
+        lambda g: g.normal(0.0, 3.0, 4),
+        lambda g: g.integers(0, 2**40, 3),
+        lambda g: g.integers(7),  # a 32-bit draw leaves half a word buffered
+        lambda g: g.random(3),
+    ):
+        assert draw(a).tobytes() == np.asarray(draw(b)).tobytes()
+    same_state(a.bit_generator.state, b.bit_generator.state)
+
+
+STAGES = (STAGE_DEGREE, STAGE_RR, STAGE_COUNT)
+
+
+def test_substream_matches_the_key_route_bit_for_bit():
+    paths = [(0, 0, stage, user) for stage in STAGES for user in range(2001)]
+    paths += [(7, 3, stage, 11) for stage in STAGES]
+    paths += [(0, "graph"), (31, "ordering", 4), (2**70, "size", 2)]
+    for path in paths:
+        ours, ref = substream(*path), _substream_key_route(*path)
+        assert_same_generator(ours, ref)
+    for user in (1, 17, 400, 2000):  # the RR stage's row of `user` draws
+        ours = substream(0, 0, STAGE_RR, user).random(user)
+        ref = _substream_key_route(0, 0, STAGE_RR, user).random(user)
+        assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("key", [0, 1, 2**63, 2**64 - 1])
+def test_fixed_key_philox_matches_the_key_route_on_raw_keys(key):
+    ours = np.random.Generator(np.random.Philox(mechanisms._FixedKey(key)))
+    assert_same_generator(ours, np.random.Generator(np.random.Philox(key=key)))
+
+
+def test_fixed_key_gives_philox_only_two_uint64_words():
+    fixed = mechanisms._FixedKey(5)
+    assert fixed.generate_state(2, np.dtype("uint64")).tolist() == [5, 0]
+    for n_words, dtype in [(4, np.uint64), (1, np.uint64), (2, np.uint32), (4, np.uint32)]:
+        with pytest.raises(ValueError, match="2 uint64 words"):
+            fixed.generate_state(n_words, dtype)
+
+
+def test_substream_jump_pickle_and_spawn_follow_the_key_route():
+    path = (0, 4, STAGE_COUNT, 9)
+    ours, ref = substream(*path), _substream_key_route(*path)
+    assert_same_generator(
+        np.random.Generator(ours.bit_generator.jumped()),
+        np.random.Generator(ref.bit_generator.jumped()),
+    )
+    assert_same_generator(pickle.loads(pickle.dumps(ours)), pickle.loads(pickle.dumps(ref)))
+    ours.random(3)  # mid-stream, with a half-used buffer
+    ref.random(3)
+    ours.integers(7)
+    ref.integers(7)
+    assert_same_generator(pickle.loads(pickle.dumps(ours)), pickle.loads(pickle.dumps(ref)))
+    for gen in (substream(*path), ref):
+        with pytest.raises(TypeError):
+            gen.spawn(1)
