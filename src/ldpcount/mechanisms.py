@@ -41,6 +41,10 @@ DENSE_BYTES_LIMIT = 4 * 2**30
 # cache while their transpose is read.
 _PANEL = 256
 
+# Cells of the RR flip buffer: users are compared into it a block of
+# max(1, _CELLS // n) rows at a time and XORed into the bits once per block.
+_CELLS = 2**18
+
 # Largest eps whose exp is finite; above it unbias takes its eps=inf limit.
 _MAX_EXP_ARG = math.log(sys.float_info.max)
 
@@ -238,16 +242,36 @@ def assemble_obfuscated(graph: Graph, eps: float, u_rows=None) -> ObfuscatedGrap
     edges = edge_array(graph)
     bits[edges[:, 1], edges[:, 0]] = 1
     if eps != INF:
-        rows = iter(() if u_rows is None else u_rows)
-        for i in range(n):
-            try:
-                bits[i, :i] = randomize_response_row(bits[i, :i], eps, next(rows, None))
-            except ValidationError as exc:
-                raise ValidationError(f"user {i}: {exc}") from None
-        if next(rows, None) is not None:
-            raise ValidationError(f"u_rows yields more than {n} rows, one per user")
+        _randomize_lower(bits, eps, iter(() if u_rows is None else u_rows))
     _mirror_lower(bits)
     return ObfuscatedGraph(bits=bits, eps=eps)
+
+
+def _randomize_lower(bits: np.ndarray, eps: float, rows) -> None:
+    """Apply user i's randomized response to ``bits[i, :i]``, in place.
+
+    Same bits as ``randomize_response_row`` row by row, but each block of
+    users is compared into one reused bool buffer and XORed in one pass.
+    Buffer row r holds user lo + r, whose row is longer than that of any
+    earlier user in row r, so its write covers every cell an earlier block
+    set and the cells from i on stay False: the buffer needs no reset.
+    """
+    require_eps("eps", eps)
+    p_flip = 1.0 - rr_keep_probability(eps)
+    n = bits.shape[0]
+    height = max(1, _CELLS // max(n, 1))
+    flips = np.zeros((min(height, n), n), dtype=bool)
+    for lo in range(0, n, height):
+        hi = min(lo + height, n)
+        for i in range(lo, hi):
+            try:
+                u = as_uniforms(next(rows, None), (i,))
+            except ValidationError as exc:
+                raise ValidationError(f"user {i}: {exc}") from None
+            np.less(u, p_flip, out=flips[i - lo, :i])
+        bits[lo:hi] ^= flips[: hi - lo].view(np.uint8)
+    if next(rows, None) is not None:
+        raise ValidationError(f"u_rows yields more than {n} rows, one per user")
 
 
 def _mirror_lower(bits: np.ndarray) -> None:

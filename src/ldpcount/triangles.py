@@ -7,6 +7,8 @@ adds the per-user fork sums and their noise scale.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from .graphs import Graph
@@ -22,16 +24,16 @@ from .protocol import (
     add_noise,
     resolve_mode,
     run_ordered_stage,
-    split_forks,
 )
 
 
 def user_triangle_estimate(i: int, projected_row, obf: ObfuscatedGraph) -> float:
     """Sum of unbiased entries over fork pairs (j, k) with j < i < k."""
-    below, above = split_forks(tuple(projected_row), i)
-    if not below or not above:
+    cut = bisect_left(projected_row, i)  # split_forks: below i, then above
+    if cut == 0 or cut == len(projected_row):
         return 0.0
-    return float(obf.unbiased[np.array(below)[:, None], np.array(above)].sum())
+    row = np.array(projected_row, dtype=np.intp)
+    return float(obf.unbiased[row[:cut, None], row[cut:]].sum())
 
 
 def user_triangle_noise(t_hat, d_hat, eps1: float, eps2: float, u=None):

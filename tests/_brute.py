@@ -9,10 +9,11 @@ whose float result the per-user k=5 route reproduces bit for bit.  The
 server-layer references (``_assemble_bits_lower_plus_transpose``,
 ``_unbiased_one_shot``, ``_relabel_from_edges``, ``_fork_sum_ix``) are the
 direct forms that the library's panel mirror, array relabel and fork sums
-reproduce bit for bit.  ``_substream_key_route`` builds each stream the
-way numpy documents, ``Philox(key=...)``, whose state and draws the
-library's entropy-free ``substream`` reproduces bit for bit.  Only usable
-at tiny sizes.
+reproduce bit for bit; ``_assemble_bits_lower_plus_transpose`` is also the
+per-row RR loop that the library's block-wise flips reproduce.
+``_substream_key_route`` builds each stream the way numpy documents,
+``Philox(key=...)``, whose state and draws the library's entropy-free
+``substream`` reproduces bit for bit.  Only usable at tiny sizes.
 """
 
 from itertools import combinations, permutations
@@ -136,7 +137,10 @@ def _admissible_sum_k5_grid(i: int, j: int, kappa: int, ahat: np.ndarray) -> flo
 
 
 def _assemble_bits_lower_plus_transpose(graph: Graph, eps: float, u_rows):
-    """The RR matrix as one ``lower + lower.T``: user i randomizes row i below i."""
+    """The RR matrix as one ``lower + lower.T``: user i randomizes row i below i.
+
+    One ``randomize_response_row`` call per user, then the mirror.
+    """
     n = graph.n
     lower = np.zeros((n, n), dtype=np.uint8)
     edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)

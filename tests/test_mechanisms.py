@@ -295,6 +295,45 @@ def test_panel_mirror_matches_lower_plus_transpose(n, eps):
     assert np.array_equal(obf.unbiased, _unbiased_one_shot(expected, eps))
 
 
+H = 5  # RR block height the shrunken flip buffer gives in these tests
+
+
+def _block_rows(monkeypatch, n, height):
+    """Shrink the flip buffer so that an n-user assembly runs in blocks of height."""
+    monkeypatch.setattr(mechanisms, "_CELLS", height * max(n, 1))
+
+
+@pytest.mark.parametrize("height", [1, H])
+@pytest.mark.parametrize("n", [0, 1, 2, H - 1, H, H + 1, 2 * H + 3])
+@pytest.mark.parametrize("eps", [0.1, 1.0, 3.0, INF])
+def test_block_rr_matches_the_per_row_mechanism(monkeypatch, height, n, eps):
+    # n <= H fits one block, H + 1 leaves a one-row last block and 2H + 3
+    # a short one; height 1 XORs every row on its own.
+    _block_rows(monkeypatch, n, height)
+    g = gen_er(n, 0.4, seed=n)
+
+    def rows():
+        return (substream(13, "block", i).random(i) for i in range(n))
+
+    obf = assemble_obfuscated(g, eps, rows())
+    assert np.array_equal(obf.bits, _assemble_bits_lower_plus_transpose(g, eps, rows()))
+
+
+def test_block_rr_errors_at_a_block_boundary(monkeypatch):
+    n = 2 * H + 3
+    _block_rows(monkeypatch, n, H)
+    g = gen_er(n, 0.4, seed=2)
+    draws = [np.full(i, 0.5) for i in range(n)]
+    assert assemble_obfuscated(g, 1.0, iter(draws)).n == n
+    with pytest.raises(ValidationError, match=f"user {H}: .*required"):
+        assemble_obfuscated(g, 1.0, iter(draws[:H]))
+    wrong = draws[: H + 1] + [np.full(H, 0.5)] + draws[H + 2 :]
+    with pytest.raises(ValidationError, match=rf"user {H + 1}: .*shape \({H + 1},\)"):
+        assemble_obfuscated(g, 1.0, iter(wrong))
+    with pytest.raises(ValidationError, match=f"more than {n} rows"):
+        assemble_obfuscated(g, 1.0, iter(draws + [np.full(n, 0.5)]))
+
+
 def test_mirror_and_unbiased_memory():
     # The mirror works in place: bits + bits.T held a second n*n array
     # (2.08 n^2 bytes at peak), the panels hold one (1.11 n^2).
@@ -330,12 +369,16 @@ def test_dense_limit_refuses_before_allocating(monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("work done past the dense limit")
 
+    def unread_rows():
+        raise AssertionError("a row read past the dense limit")
+        yield
+
     monkeypatch.setattr(mechanisms, "DENSE_BYTES_LIMIT", 9 * 100 * 100 - 1)
     with monkeypatch.context() as m:
         m.setattr(mechanisms.np, "zeros", must_not_run)
         m.setattr(mechanisms, "randomize_response_row", must_not_run)
         with pytest.raises(ResourceLimitError, match="n=100"):
-            assemble_obfuscated(g, 1.0, iter([]))
+            assemble_obfuscated(g, 1.0, unread_rows())
     with pytest.raises(ResourceLimitError, match="DENSE_BYTES_LIMIT"):
         estimate_triangles(g, b, seed=0)
     with pytest.raises(ResourceLimitError, match="DENSE_BYTES_LIMIT"):
