@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
+from numbers import Integral
 from typing import IO, Iterable
 
 import numpy as np
@@ -38,26 +39,10 @@ class Graph:
         """Build a graph, validating simplicity (no self-loops, no duplicates)."""
         if n < 0:
             raise ValidationError(f"node count must be >= 0, got {n}")
-        canon: set[tuple[int, int]] = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValidationError(f"self-loop at node {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in canon:
-                raise ValidationError(f"duplicate edge {key}")
-            canon.add(key)
-        neighbors: list[list[int]] = [[] for _ in range(n)]
-        for u, v in canon:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        return cls(
-            n=n,
-            edges=tuple(sorted(canon)),
-            adj=tuple(tuple(sorted(a)) for a in neighbors),
-        )
+        pairs = list(edges)
+        if fault := _first_fault(n, pairs):
+            raise ValidationError(fault[1])
+        return _canonical(n, pairs)
 
     @property
     def m(self) -> int:
@@ -80,6 +65,45 @@ class Graph:
         return v in self.adj_sets[u]
 
 
+def _first_fault(n: int, pairs: list) -> tuple[int, str] | None:
+    """Index and reason of the first pair that breaks the simple-graph rules.
+
+    Pairs are checked in input order, each for integer ids, then range
+    ``[0, n)``, then a self-loop, then a repeat in either orientation.
+    """
+    seen: set[tuple[int, int]] = set()
+    for index, (u, v) in enumerate(pairs):
+        if type(u) is not int or type(v) is not int:
+            if any(isinstance(x, bool) or not isinstance(x, Integral) for x in (u, v)):
+                return index, f"non-integer node id in edge ({u!r}, {v!r})"
+            u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            return index, f"edge ({u}, {v}) out of range for n={n}"
+        if u == v:
+            return index, f"self-loop at node {u}"
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return index, f"duplicate edge {key}"
+        seen.add(key)
+    return None
+
+
+def _canonical(n: int, pairs) -> Graph:
+    """The one place a ``Graph`` is made, from pairs that pass the rules.
+
+    Pair keys lo*n + hi sort into ``edges``; the keys of both directions
+    sort into ``adj``, every row ascending.
+    """
+    lo, hi = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1).T
+    keys = np.sort(lo * n + hi)
+    arcs = np.sort(np.concatenate([keys, hi * n + lo]))  # both directions
+    edges = tuple(zip((keys // n).tolist(), (keys % n).tolist()))  # no keys when n = 0
+    targets = (arcs % n).tolist()
+    stops = np.cumsum(np.bincount(arcs // n, minlength=n)).tolist()
+    adj = tuple(tuple(targets[a:b]) for a, b in zip([0, *stops], stops))
+    return Graph(n=n, edges=edges, adj=adj)
+
+
 def load_edge_list(source: str | IO[str]) -> Graph:
     """Parse whitespace-separated "u v" lines into a graph.
 
@@ -89,8 +113,7 @@ def load_edge_list(source: str | IO[str]) -> Graph:
     """
     text = source if isinstance(source, str) else source.read()
     pairs: list[tuple[int, int]] = []
-    first_line: dict[tuple[int, int], int] = {}
-    seen_ids: set[int] = set()
+    lines: list[int] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -104,25 +127,19 @@ def load_edge_list(source: str | IO[str]) -> Graph:
             raise ParseError(f"non-integer node id in {line!r}", line=ln) from None
         if u < 0 or v < 0:
             raise ParseError(f"negative node id in {line!r}", line=ln)
-        if u == v:
-            raise ValidationError(f"line {ln}: self-loop at node {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in first_line:
-            raise ValidationError(
-                f"line {ln}: duplicate edge {key[0]} {key[1]}"
-                f" (first seen on line {first_line[key]})"
-            )
-        first_line[key] = ln
-        pairs.append(key)
-        seen_ids.update(key)
+        pairs.append((u, v))
+        lines.append(ln)
+    seen_ids = set(chain.from_iterable(pairs))
     n = max(seen_ids) + 1 if seen_ids else 0
+    if fault := _first_fault(n, pairs):
+        raise ValidationError(f"line {lines[fault[0]]}: {fault[1]}")
     if len(seen_ids) < n:
         warnings.warn(
             f"edge list leaves {n - len(seen_ids)} node id(s) below {n - 1} "
             "unused; they become isolated nodes",
             stacklevel=2,
         )
-    return Graph.from_edges(n, pairs)
+    return _canonical(n, pairs)
 
 
 def dump_edge_list(graph: Graph) -> str:
@@ -139,8 +156,6 @@ def gen_er(n: int, p: float, seed: int) -> Graph:
     """
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"edge probability must be in [0, 1], got {p}")
-    if n < 0:
-        raise ValidationError(f"node count must be >= 0, got {n}")
     rng = np.random.default_rng(seed)
     edges: list[tuple[int, int]] = []
     for u in range(n - 1):
@@ -228,8 +243,6 @@ def degeneracy(graph: Graph) -> tuple[int, list[int]]:
     is deterministic.
     """
     n = graph.n
-    if n == 0:
-        return 0, []
     deg = [graph.degree(i) for i in range(n)]
     heap = [(d, i) for i, d in enumerate(deg)]
     heapq.heapify(heap)
@@ -271,26 +284,8 @@ def require_permutation(phi, n: int) -> np.ndarray:
 
 
 def relabel(graph: Graph, phi) -> Graph:
-    """Rename node i to phi(i); the result is isomorphic to the input.
-
-    The renamed edges are a simple graph by construction, so the canonical
-    ``edges`` and ``adj`` are built by sorting pair keys lo*n + hi, without
-    ``from_edges``'s per-edge validation.
-    """
-    n = graph.n
-    phi = require_permutation(phi, n)
-    ends = np.sort(phi[edge_array(graph)], axis=1)
-    lo, hi = ends.T
-    keys = np.sort(lo * n + hi)
-    arcs = np.sort(np.concatenate([keys, hi * n + lo]))  # both directions
-    width = max(n, 1)  # no keys to decode when n = 0
-    edges = tuple(zip((keys // width).tolist(), (keys % width).tolist()))
-    targets = (arcs % width).tolist()
-    stops = np.cumsum(np.bincount(arcs // width, minlength=n)).tolist()
-    adj = tuple(
-        tuple(targets[start:stop]) for start, stop in zip([0, *stops], stops)
-    )
-    return Graph(n=n, edges=edges, adj=adj)
+    """Rename node i to phi(i): an isomorphic graph, built without validation."""
+    return _canonical(graph.n, require_permutation(phi, graph.n)[edge_array(graph)])
 
 
 @dataclass(frozen=True)

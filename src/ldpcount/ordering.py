@@ -32,6 +32,8 @@ class NodeOrdering:
 
     def __post_init__(self):
         require_permutation(self.phi, len(self.phi))
+        if (shape := self.noisy_degrees.shape) != (self.n,):
+            raise ValidationError(f"need {self.n} noisy degrees, got shape {shape}")
         self.phi.flags.writeable = False
         self.noisy_degrees.flags.writeable = False
 

@@ -11,6 +11,8 @@ server-layer references (``_assemble_bits_lower_plus_transpose``,
 direct forms that the library's panel mirror, array relabel and fork sums
 reproduce bit for bit; ``_assemble_bits_lower_plus_transpose`` is also the
 per-row RR loop that the library's block-wise flips reproduce.
+``_graph_from_edge_set`` is the set-and-lists build whose graphs the
+library's one sorted-key constructor reproduces.
 ``_substream_key_route`` builds each stream the way numpy documents,
 ``Philox(key=...)``, whose state and draws the library's entropy-free
 ``substream`` reproduces bit for bit.  Only usable at tiny sizes.
@@ -20,7 +22,13 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from ldpcount import Graph, derive_seed, randomize_response_row, unbias
+from ldpcount import (
+    Graph,
+    ValidationError,
+    derive_seed,
+    randomize_response_row,
+    unbias,
+)
 from ldpcount.cycles import admissible, canonical_cycle
 from ldpcount.oracles import has_monotone_triple
 
@@ -159,9 +167,35 @@ def _unbiased_one_shot(bits: np.ndarray, eps: float) -> np.ndarray:
     return a
 
 
+def _graph_from_edge_set(n: int, edges) -> Graph:
+    """The canonical graph built from a set of pairs and per-node lists."""
+    if n < 0:
+        raise ValidationError(f"node count must be >= 0, got {n}")
+    canon: set[tuple[int, int]] = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValidationError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValidationError(f"self-loop at node {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in canon:
+            raise ValidationError(f"duplicate edge {key}")
+        canon.add(key)
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for u, v in canon:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return Graph(
+        n=n,
+        edges=tuple(sorted(canon)),
+        adj=tuple(tuple(sorted(a)) for a in neighbors),
+    )
+
+
 def _relabel_from_edges(graph: Graph, phi) -> Graph:
-    """Rename node i to phi[i] through the validating constructor."""
-    return Graph.from_edges(
+    """Rename node i to phi[i] through the set-based reference build."""
+    return _graph_from_edge_set(
         graph.n, ((int(phi[u]), int(phi[v])) for u, v in graph.edges)
     )
 

@@ -26,7 +26,7 @@ from ldpcount import (
 )
 from ldpcount.oracles import count_cycles, count_triangles
 
-from _brute import _relabel_from_edges
+from _brute import _graph_from_edge_set, _relabel_from_edges
 
 
 def test_load_basic_path():
@@ -52,6 +52,14 @@ def test_load_duplicate_rejected_both_orientations():
         load_edge_list("0 1\n1 0")
     with pytest.raises(ValidationError, match="line 3"):
         load_edge_list("0 1\n1 2\n0 1")
+
+
+def test_load_names_the_line_of_the_offending_pair():
+    # comments and blank lines count toward the line number
+    with pytest.raises(ValidationError, match="^line 4: self-loop at node 2$"):
+        load_edge_list("0 1\n# note\n\n2 2\n1 2\n")
+    with pytest.raises(ValidationError, match=r"^line 5: duplicate edge \(1, 2\)$"):
+        load_edge_list("0 1\n1 2\n\n2 3  # ok\n2 1\n")
 
 
 def test_load_malformed_reports_line_number():
@@ -86,6 +94,47 @@ def test_from_edges_validation():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValidationError):
         Graph.from_edges(3, [(0, 1), (1, 0)])
+    with pytest.raises(ValidationError, match="node count"):
+        Graph.from_edges(-1, [])
+
+
+@pytest.mark.parametrize(
+    "n, pairs, message",
+    [
+        (3, [(0, 1), (2, 2), (0, 5)], "self-loop at node 2"),
+        (3, [(0, 5), (1, 1)], r"edge \(0, 5\) out of range for n=3"),
+        # 1*3 + 2 == 0*3 + 5: the sort key alone would take this for (1, 2)
+        (3, [(1, 2), (0, 5)], r"edge \(0, 5\) out of range for n=3"),
+        (3, [(0, 1), (1, 0)], r"duplicate edge \(0, 1\)"),
+        (3, [(2, 1), (0, 1), (1, 2)], r"duplicate edge \(1, 2\)"),
+        (3, [(-1, 2)], r"edge \(-1, 2\) out of range for n=3"),
+        (3, [(0, 1), ("0", 5)], r"non-integer node id in edge \('0', 5\)"),
+    ],
+    ids=[
+        "self-loop", "range", "key-collision", "duplicate", "flipped", "negative", "str"
+    ],
+)
+def test_from_edges_reports_the_first_fault_in_input_order(n, pairs, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        Graph.from_edges(n, pairs)
+
+
+@pytest.mark.parametrize(
+    "pairs", [[(0.9, 2.7)], [("0", "2")], [(True, 2)], [(0, np.bool_(True))]]
+)
+def test_from_edges_rejects_non_integer_ids(pairs):
+    # int() used to coerce these to (0, 2), (0, 2) and (1, 2)
+    with pytest.raises(ValidationError, match="non-integer node id"):
+        Graph.from_edges(3, pairs)
+
+
+def test_from_edges_accepts_python_and_numpy_integers():
+    g = Graph.from_edges(3, [(np.int64(2), np.uint8(0)), (1, np.int32(2))])
+    assert g == Graph.from_edges(3, [(0, 2), (1, 2)])
+    assert all(type(v) is int for e in g.edges for v in e)
+    assert all(type(v) is int for row in g.adj for v in row)
+    with pytest.raises(ValidationError, match="out of range"):
+        Graph.from_edges(3, [(0, 2**70)])  # not an OverflowError
 
 
 def test_gen_er_extremes():
@@ -170,21 +219,36 @@ def test_relabel_rejects_non_bijection():
         relabel(path_graph(3), [0, 0, 1])
 
 
-@pytest.mark.parametrize(
-    "graph",
-    [
-        gen_ba(120, 3, seed=2),
-        gen_er(90, 0.08, seed=3),
-        gen_ktree(40, 3, seed=4),
-        petersen_graph(),
-        path_graph(9),
-        complete_graph(7),
-        Graph.from_edges(6, []),
-        Graph.from_edges(0, []),
-        Graph.from_edges(1, []),
-    ],
-    ids=["ba", "er", "ktree", "petersen", "path", "complete", "edgeless", "n0", "n1"],
-)
+ROSTER = [
+    gen_ba(120, 3, seed=2),
+    gen_er(90, 0.08, seed=3),
+    gen_ktree(40, 3, seed=4),
+    petersen_graph(),
+    path_graph(9),
+    complete_graph(7),
+    Graph.from_edges(6, []),
+    Graph.from_edges(0, []),
+    Graph.from_edges(1, []),
+]
+ROSTER_IDS = [
+    "ba", "er", "ktree", "petersen", "path", "complete", "edgeless", "n0", "n1"
+]
+
+
+@pytest.mark.parametrize("graph", ROSTER, ids=ROSTER_IDS)
+def test_from_edges_matches_the_set_based_reference(graph):
+    assert graph == _graph_from_edge_set(graph.n, graph.edges)
+    # any order and orientation of the input gives the same graph
+    rng = np.random.default_rng(graph.m)
+    flips = rng.choice([1, -1], size=graph.m)
+    shuffled = [graph.edges[t][:: flips[t]] for t in rng.permutation(graph.m)]
+    got = Graph.from_edges(graph.n, shuffled)
+    assert got == graph == _graph_from_edge_set(graph.n, shuffled)
+    assert all(type(v) is int for e in got.edges for v in e)
+    assert all(type(v) is int for row in got.adj for v in row)
+
+
+@pytest.mark.parametrize("graph", ROSTER, ids=ROSTER_IDS)
 def test_relabel_is_a_canonical_graph(graph):
     rng = np.random.default_rng(graph.n + graph.m)
     for _ in range(3):

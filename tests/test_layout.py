@@ -16,6 +16,9 @@ The document format is written once: only ``documents.py`` names the
 Estimate reports are assembled once: only ``protocol.py`` calls
 ``EstimateReport(...)``, at a single site.
 
+Graphs are built once: ``Graph`` is instantiated at a single site, the
+canonical builder in ``graphs.py`` that every constructor goes through.
+
 Every generator is seeded and built where the determinism contract says:
 ``Philox``, ``Generator``, ``default_rng`` and ``SeedSequence`` are called
 only in ``mechanisms.substream`` and the seeded graph generators, and never
@@ -163,6 +166,53 @@ def test_estimate_report_built_at_one_site_in_protocol():
         )
     ]
     assert sites == ["protocol.py"]
+
+
+def graph_constructions(tree: ast.AST, module: str) -> list[str]:
+    """Enclosing ``module.function`` of each ``Graph`` instantiation.
+
+    That is a ``Graph(...)`` call, or a ``cls(...)`` call inside ``class Graph``.
+    """
+    found = []
+
+    def visit(node: ast.AST, scope: str, in_graph: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope, child.name == "Graph")
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{module}.{child.name}", in_graph)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name == "Graph" or (in_graph and name == "cls"):
+                    found.append(scope)
+            visit(child, scope, in_graph)
+
+    visit(tree, f"{module}.<module>", False)
+    return found
+
+
+def test_finds_graph_construction():
+    tree = ast.parse(
+        "class Graph:\n"
+        "    @classmethod\n"
+        "    def from_edges(cls, n):\n        return cls(n=n)\n"
+        "class Other:\n"
+        "    @classmethod\n"
+        "    def make(cls):\n        return cls()\n"
+        "def relabel(g):\n    return graphs.Graph(n=g.n)\n"
+        "h = Graph(n=0)\nk = Graph.from_edges(3, [])\nt = Graph\n"
+    )
+    assert graph_constructions(tree, "m") == ["m.from_edges", "m.relabel", "m.<module>"]
+
+
+def test_graph_built_at_one_site():
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += graph_constructions(tree, path.stem)
+    assert found == ["graphs._canonical"]
 
 
 GENERATOR_MAKERS = {"Philox", "Generator", "default_rng", "SeedSequence"}

@@ -115,6 +115,18 @@ def test_ordering_json_rejects_non_integer_phi():
     assert NodeOrdering.from_json_dict(doc).phi.tolist() == [1, 0, 2]
 
 
+def test_ordering_rejects_noisy_degrees_of_the_wrong_length():
+    # both used to load, with n taken from phi alone
+    doc = {"phi": [1, 0, 2], "noisy_degrees": [1.0], "eps0": 1.0}
+    with pytest.raises(ValidationError, match="need 3 noisy degrees"):
+        NodeOrdering.from_json_dict(doc)
+    with pytest.raises(ValidationError, match="need 2 noisy degrees"):
+        NodeOrdering(phi=np.array([1, 0]), noisy_degrees=np.ones(3), eps0=1.0)
+    with pytest.raises(ValidationError, match="need 2 noisy degrees"):
+        NodeOrdering(phi=np.array([1, 0]), noisy_degrees=np.ones((2, 1)), eps0=1.0)
+    assert NodeOrdering(phi=np.array([1, 0]), noisy_degrees=np.ones(2), eps0=1.0).n == 2
+
+
 def test_degree_deviation_bound_small_scale():
     # P(any |noisy - true| >= ln(n/zeta)/eps0) <= zeta, small-sample version
     g = gen_er(50, 0.1, seed=3)
