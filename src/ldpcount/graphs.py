@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from numbers import Integral
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -35,11 +35,18 @@ class Graph:
     adj: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph, validating simplicity (no self-loops, no duplicates)."""
+    def from_edges(
+        cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray
+    ) -> "Graph":
+        """Build a graph, validating simplicity (no self-loops, no duplicates).
+
+        ``edges`` may be an iterable of pairs or a (k, 2) ndarray; an integer
+        array is validated in a few vectorized passes.
+        """
+        n = _integer(n, "node count")
         if n < 0:
             raise ValidationError(f"node count must be >= 0, got {n}")
-        pairs = list(edges)
+        pairs = edges if isinstance(edges, np.ndarray) else list(edges)
         if fault := _first_fault(n, pairs):
             raise ValidationError(fault[1])
         return _canonical(n, pairs)
@@ -65,16 +72,34 @@ class Graph:
         return v in self.adj_sets[u]
 
 
-def _first_fault(n: int, pairs: list) -> tuple[int, str] | None:
+def _is_integer(x) -> bool:
+    """The integer rule for node ids and counts: Python or numpy, never bool."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an ``int``, raising ValidationError unless it is an integer."""
+    if not _is_integer(value):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _first_fault(n: int, pairs: list | np.ndarray) -> tuple[int, str] | None:
     """Index and reason of the first pair that breaks the simple-graph rules.
 
     Pairs are checked in input order, each for integer ids, then range
-    ``[0, n)``, then a self-loop, then a repeat in either orientation.
+    ``[0, n)``, then a self-loop, then a repeat in either orientation.  An
+    ndarray that passes ``_array_is_simple`` has no fault; any other runs
+    the pair loop on its ``tolist()``, so it reports as its list form does.
     """
+    if isinstance(pairs, np.ndarray):
+        if _array_is_simple(n, pairs):
+            return None
+        pairs = pairs.tolist()
     seen: set[tuple[int, int]] = set()
     for index, (u, v) in enumerate(pairs):
         if type(u) is not int or type(v) is not int:
-            if any(isinstance(x, bool) or not isinstance(x, Integral) for x in (u, v)):
+            if not (_is_integer(u) and _is_integer(v)):
                 return index, f"non-integer node id in edge ({u!r}, {v!r})"
             u, v = int(u), int(v)
         if not (0 <= u < n and 0 <= v < n):
@@ -86,6 +111,23 @@ def _first_fault(n: int, pairs: list) -> tuple[int, str] | None:
             return index, f"duplicate edge {key}"
         seen.add(key)
     return None
+
+
+def _array_is_simple(n: int, pairs: np.ndarray) -> bool:
+    """Whether ``pairs`` is an integer (k, 2) array that breaks no rule.
+
+    Range first, so the pair keys lo*n + hi are distinct exactly when the
+    edges are; the keys are sorted once to find a repeat.
+    """
+    if pairs.dtype.kind not in "iu" or pairs.ndim != 2 or pairs.shape[1] != 2:
+        return False
+    if pairs.size == 0:
+        return True
+    if pairs.min() < 0 or pairs.max() >= n:
+        return False
+    lo, hi = np.sort(pairs.astype(np.int64), axis=1).T
+    keys = np.sort(lo * n + hi)
+    return bool((lo != hi).all() and (keys[1:] != keys[:-1]).all())
 
 
 def _canonical(n: int, pairs) -> Graph:
@@ -154,14 +196,42 @@ def gen_er(n: int, p: float, seed: int) -> Graph:
     drawn one row u at a time: memory is O(n + m), but time is still
     O(n^2) draws.
     """
+    n = _integer(n, "node count")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    edges: list[tuple[int, int]] = []
-    for u in range(n - 1):
-        kept = np.flatnonzero(rng.random(n - 1 - u) < p) + (u + 1)
-        edges.extend((u, v) for v in kept.tolist())
-    return Graph.from_edges(n, edges)
+    kept = [np.flatnonzero(rng.random(n - 1 - u) < p) + (u + 1) for u in range(n - 1)]
+    rows = np.repeat(np.arange(len(kept), dtype=np.int64), [v.size for v in kept])
+    cols = np.concatenate(kept) if kept else rows  # n < 2: no pairs to draw
+    return Graph.from_edges(n, np.column_stack((rows, cols)))
+
+
+_RAW_WORDS = 1 << 12  # raw words read at a time: a few per draw of a small graph
+
+
+def _raw_halves(bit_generator: np.random.BitGenerator) -> Iterator[int]:
+    """PCG64's 32-bit outputs in the order ``next_uint32`` hands them out.
+
+    Each 64-bit raw word gives its low half, then its high half; the
+    explicit little-endian view keeps that order on any host.
+    """
+    while True:
+        words = bit_generator.random_raw(_RAW_WORDS)
+        yield from words.astype("<u8", copy=False).view("<u4").tolist()
+
+
+def _lemire(halves: Iterator[int], high: int) -> int:
+    """One ``Generator.integers(high)`` draw, 1 < high < 2**32, from ``halves``.
+
+    Lemire's rule as numpy applies it to a 32-bit bound: m = x*high, a word
+    whose low 32 bits of m fall below (2**32 - high) % high is rejected for
+    the next, and the draw is m >> 32.  It takes the same words numpy does.
+    """
+    threshold = (0x1_0000_0000 - high) % high
+    while True:
+        m = next(halves) * high
+        if m & 0xFFFF_FFFF >= threshold:
+            return m >> 32
 
 
 def gen_ba(n: int, m0: int, seed: int) -> Graph:
@@ -170,23 +240,37 @@ def gen_ba(n: int, m0: int, seed: int) -> Graph:
     Seeded with a star on m0+1 nodes, so the result is connected and each
     node beyond the seed contributes exactly m0 edges, which caps the
     degeneracy at m0.
+
+    Each target is drawn uniformly from ``repeated``, which lists every
+    edge end so far, by the draw ``Generator.integers(len(repeated))``
+    would make, read from the PCG64 raw stream (``_lemire``).  That takes
+    every bound below 2**32, so 2*m0*(n - m0) must be too.
     """
+    n = _integer(n, "node count")
+    m0 = _integer(m0, "edges per new node")
     if m0 < 1:
         raise ValidationError(f"edges per new node must be >= 1, got {m0}")
     if n <= m0:
         raise ValidationError(f"need n > m0, got n={n}, m0={m0}")
-    rng = np.random.default_rng(seed)
-    edges: list[tuple[int, int]] = [(0, j) for j in range(1, m0 + 1)]
+    if 2 * m0 * (n - m0) >= 2**32:
+        raise ValidationError(
+            f"need 2*m0*(n - m0) < 2**32 for 32-bit draws, got n={n}, m0={m0}"
+        )
+    halves = _raw_halves(np.random.default_rng(seed).bit_generator)
     repeated: list[int] = [0] * m0 + list(range(1, m0 + 1))
     for source in range(m0 + 1, n):
+        high = len(repeated)
         targets: set[int] = set()
         while len(targets) < m0:
-            targets.add(repeated[int(rng.integers(len(repeated)))])
+            targets.add(repeated[_lemire(halves, high)])
         picked = sorted(targets)
-        edges.extend((source, t) for t in picked)
         repeated.extend(picked)
         repeated.extend([source] * m0)
-    return Graph.from_edges(n, edges)
+    # repeated runs in blocks of 2*m0 ends: the star's m0 zeros, then its
+    # leaves; each source's picks, then the source m0 times.  Block t's
+    # i-th and (m0+i)-th ends make one edge.
+    ends = np.array(repeated, dtype=np.int64).reshape(-1, 2, m0)
+    return Graph.from_edges(n, ends.transpose(0, 2, 1).reshape(-1, 2))
 
 
 def gen_ktree(n: int, k: int, seed: int) -> Graph:
@@ -194,6 +278,7 @@ def gen_ktree(n: int, k: int, seed: int) -> Graph:
 
     Degeneracy is exactly k for n >= k+1.
     """
+    n, k = _integer(n, "node count"), _integer(k, "k")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if n <= k:
@@ -210,21 +295,25 @@ def gen_ktree(n: int, k: int, seed: int) -> Graph:
 
 
 def path_graph(n: int) -> Graph:
+    n = _integer(n, "node count")
     return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
+    n = _integer(n, "node count")
     if n < 3:
         raise ValidationError(f"cycle needs >= 3 nodes, got {n}")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
+    n = _integer(n, "node count")
     return Graph.from_edges(n, combinations(range(n), 2))
 
 
 def star_graph(n: int) -> Graph:
     """Star on n nodes: center 0, leaves 1..n-1."""
+    n = _integer(n, "node count")
     return Graph.from_edges(n, ((0, i) for i in range(1, n)))
 
 

@@ -15,7 +15,9 @@ per-row RR loop that the library's block-wise flips reproduce.
 library's one sorted-key constructor reproduces.
 ``_substream_key_route`` builds each stream the way numpy documents,
 ``Philox(key=...)``, whose state and draws the library's entropy-free
-``substream`` reproduces bit for bit.  Only usable at tiny sizes.
+``substream`` reproduces bit for bit.  ``_gen_ba_integers`` is preferential
+attachment with one ``Generator.integers`` call per draw, whose graphs the
+library's raw-stream ``gen_ba`` reproduces.  Only usable at tiny sizes.
 """
 
 from itertools import combinations, permutations
@@ -212,3 +214,19 @@ def _fork_sum_ix(i: int, projected_row, unbiased: np.ndarray) -> float:
 def _substream_key_route(master: int, *path) -> np.random.Generator:
     """The derivation path's stream through ``Philox(key=...)``."""
     return np.random.Generator(np.random.Philox(key=derive_seed(master, *path)))
+
+
+def _gen_ba_integers(n: int, m0: int, seed: int) -> Graph:
+    """Preferential attachment drawing each target with ``rng.integers``."""
+    rng = np.random.default_rng(seed)
+    edges: list[tuple[int, int]] = [(0, j) for j in range(1, m0 + 1)]
+    repeated: list[int] = [0] * m0 + list(range(1, m0 + 1))
+    for source in range(m0 + 1, n):
+        targets: set[int] = set()
+        while len(targets) < m0:
+            targets.add(repeated[int(rng.integers(len(repeated)))])
+        picked = sorted(targets)
+        edges.extend((source, t) for t in picked)
+        repeated.extend(picked)
+        repeated.extend([source] * m0)
+    return Graph.from_edges(n, edges)

@@ -11,6 +11,7 @@ from ldpcount import (
     ParseError,
     ValidationError,
     complete_graph,
+    derive_seed,
     cycle_graph,
     degeneracy,
     dump_edge_list,
@@ -24,9 +25,10 @@ from ldpcount import (
     relabel,
     star_graph,
 )
+from ldpcount.graphs import _lemire, _raw_halves
 from ldpcount.oracles import count_cycles, count_triangles
 
-from _brute import _graph_from_edge_set, _relabel_from_edges
+from _brute import _gen_ba_integers, _graph_from_edge_set, _relabel_from_edges
 
 
 def test_load_basic_path():
@@ -98,29 +100,49 @@ def test_from_edges_validation():
         Graph.from_edges(-1, [])
 
 
+FAULTS = [
+    (3, [(0, 1), (2, 2), (0, 5)], "self-loop at node 2"),
+    (3, [(0, 5), (1, 1)], r"edge \(0, 5\) out of range for n=3"),
+    # 1*3 + 2 == 0*3 + 5: the sort key alone would take this for (1, 2)
+    (3, [(1, 2), (0, 5)], r"edge \(0, 5\) out of range for n=3"),
+    (3, [(0, 1), (1, 0)], r"duplicate edge \(0, 1\)"),
+    (3, [(2, 1), (0, 1), (1, 2)], r"duplicate edge \(1, 2\)"),
+    (3, [(-1, 2)], r"edge \(-1, 2\) out of range for n=3"),
+    (0, [(0, 1)], r"edge \(0, 1\) out of range for n=0"),
+]
+FAULT_IDS = [
+    "self-loop", "range", "key-collision", "duplicate", "flipped", "negative", "n0"
+]
+
+
 @pytest.mark.parametrize(
     "n, pairs, message",
-    [
-        (3, [(0, 1), (2, 2), (0, 5)], "self-loop at node 2"),
-        (3, [(0, 5), (1, 1)], r"edge \(0, 5\) out of range for n=3"),
-        # 1*3 + 2 == 0*3 + 5: the sort key alone would take this for (1, 2)
-        (3, [(1, 2), (0, 5)], r"edge \(0, 5\) out of range for n=3"),
-        (3, [(0, 1), (1, 0)], r"duplicate edge \(0, 1\)"),
-        (3, [(2, 1), (0, 1), (1, 2)], r"duplicate edge \(1, 2\)"),
-        (3, [(-1, 2)], r"edge \(-1, 2\) out of range for n=3"),
-        (3, [(0, 1), ("0", 5)], r"non-integer node id in edge \('0', 5\)"),
-    ],
-    ids=[
-        "self-loop", "range", "key-collision", "duplicate", "flipped", "negative", "str"
-    ],
+    [*FAULTS, (3, [(0, 1), ("0", 5)], r"non-integer node id in edge \('0', 5\)")],
+    ids=[*FAULT_IDS, "str"],
 )
 def test_from_edges_reports_the_first_fault_in_input_order(n, pairs, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         Graph.from_edges(n, pairs)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+@pytest.mark.parametrize("n, pairs, message", FAULTS, ids=FAULT_IDS)
+def test_from_edges_array_reports_like_its_list_form(n, pairs, message, dtype):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        Graph.from_edges(n, np.array(pairs, dtype=dtype))
+
+
 @pytest.mark.parametrize(
-    "pairs", [[(0.9, 2.7)], [("0", "2")], [(True, 2)], [(0, np.bool_(True))]]
+    "pairs",
+    [
+        [(0.9, 2.7)],
+        [("0", "2")],
+        [(True, 2)],
+        [(0, np.bool_(True))],
+        np.array([(0.9, 2.7)]),
+        np.array([(0.0, 2.0)]),
+        np.array([(False, True)]),
+    ],
 )
 def test_from_edges_rejects_non_integer_ids(pairs):
     # int() used to coerce these to (0, 2), (0, 2) and (1, 2)
@@ -135,6 +157,49 @@ def test_from_edges_accepts_python_and_numpy_integers():
     assert all(type(v) is int for row in g.adj for v in row)
     with pytest.raises(ValidationError, match="out of range"):
         Graph.from_edges(3, [(0, 2**70)])  # not an OverflowError
+    for dtype in (np.int64, np.int8, np.uint64):
+        got = Graph.from_edges(3, np.array([(2, 0), (1, 2)], dtype=dtype))
+        assert got == g
+        assert all(type(v) is int for e in got.edges for v in e)
+    empty = np.empty((0, 2), dtype=np.int64)
+    assert Graph.from_edges(3, empty) == Graph.from_edges(3, [])
+    with pytest.raises(ValidationError, match="out of range"):
+        Graph.from_edges(3, np.array([(0, 2**63)], dtype=np.uint64))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Graph.from_edges(3.5, [(0, 1)]),
+        lambda: Graph.from_edges(3.0, []),
+        lambda: Graph.from_edges("3", [(0, 1)]),
+        lambda: Graph.from_edges(True, []),
+        lambda: gen_ba(10, 2.5, 1),
+        lambda: gen_ba(10.0, 2, 1),
+        lambda: gen_ba(10, True, 1),
+        lambda: gen_er(10.0, 0.5, 1),
+        lambda: gen_ktree(10, 2.0, 1),
+        lambda: path_graph(3.0),
+        lambda: cycle_graph(np.float64(4)),
+        lambda: complete_graph("3"),
+        lambda: star_graph(False),
+    ],
+)
+def test_counts_must_be_integers(build):
+    with pytest.raises(ValidationError, match="must be an integer, got"):
+        build()
+
+
+def test_numpy_integer_counts_become_int():
+    g = Graph.from_edges(np.int64(3), [(0, 1)])
+    assert type(g.n) is int and g == Graph.from_edges(3, [(0, 1)])
+    for got, want in [
+        (gen_ba(np.int32(10), np.uint8(2), 1), gen_ba(10, 2, 1)),
+        (gen_er(np.int64(10), 0.5, 1), gen_er(10, 0.5, 1)),
+        (gen_ktree(np.int64(10), np.int64(2), 1), gen_ktree(10, 2, 1)),
+        (cycle_graph(np.int16(5)), cycle_graph(5)),
+    ]:
+        assert type(got.n) is int and got == want
 
 
 def test_gen_er_extremes():
@@ -183,6 +248,43 @@ def test_gen_ba_degeneracy_at_most_m0(seed):
 def test_gen_ba_rejects_small_n():
     with pytest.raises(ValidationError):
         gen_ba(5, 5, seed=0)
+
+
+@pytest.mark.parametrize(
+    "n, m0", [(2, 1), (4, 3), (10, 1), (200, 3), (1000, 10), (6400, 3)]
+)
+@pytest.mark.parametrize("seed", [0, *(derive_seed(s, "graph") for s in range(4))])
+def test_gen_ba_matches_the_integers_reference(n, m0, seed):
+    got = gen_ba(n, m0, seed)
+    assert got == _gen_ba_integers(n, m0, seed)
+    assert all(type(v) is int for e in got.edges for v in e)
+    assert all(type(v) is int for row in got.adj for v in row)
+
+
+@pytest.mark.parametrize("high", [3 * 2**30 + 1, 2**31 + 1, 2**32 - 1, 7, 2])
+def test_lemire_draws_are_generator_integers(high):
+    # 3*2**30 + 1 rejects about a quarter of all words, 2**31 + 1 half
+    ours = np.random.default_rng(11)
+    theirs = np.random.default_rng(11)
+    halves = _raw_halves(ours.bit_generator)
+    for _ in range(4):
+        for _ in range(2000):
+            assert _lemire(halves, high) == int(theirs.integers(high))
+        # same words taken: integers(2**32) hands out the next half as is
+        assert next(halves) == int(theirs.integers(2**32))
+
+
+def test_gen_ba_refuses_bounds_from_2_32_before_drawing(monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for n, m0 in [(2**31 + 1, 1), (2**30 + 2, 2), (2**31 + 1, 2**31), (2**40, 3)]:
+        assert 2 * m0 * (n - m0) >= 2**32
+        with pytest.raises(ValidationError, match=r"2\*\*32"):
+            gen_ba(n, m0, seed=0)
+    with pytest.raises(AssertionError, match="drew"):  # just inside the bound
+        gen_ba(2**31, 1, seed=0)
 
 
 def test_gen_ktree_degeneracy_exact():
@@ -238,6 +340,7 @@ ROSTER_IDS = [
 @pytest.mark.parametrize("graph", ROSTER, ids=ROSTER_IDS)
 def test_from_edges_matches_the_set_based_reference(graph):
     assert graph == _graph_from_edge_set(graph.n, graph.edges)
+    assert all(type(v) is int for e in graph.edges for v in e)
     # any order and orientation of the input gives the same graph
     rng = np.random.default_rng(graph.m)
     flips = rng.choice([1, -1], size=graph.m)
