@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .graphs import Graph
+from .graphs import Graph, require_integer
 from .mechanisms import (
     STAGE_COUNT,
     ObfuscatedGraph,
@@ -32,10 +32,15 @@ PATH_TUPLE_LIMIT = 10**9
 _BLOCK_CELLS = 1 << 16
 
 
-def require_odd_k(k: int) -> None:
-    """Reject a cycle length the estimator does not handle (odd k >= 5 only)."""
+def require_odd_k(k: int) -> int:
+    """``k`` as an ``int``, rejecting a length the estimator does not handle.
+
+    Only odd integers k >= 5 are handled.
+    """
+    k = require_integer(k, "cycle length")
     if k % 2 == 0 or k < 5:
         raise ValidationError(f"cycle length must be odd and >= 5, got {k}")
+    return k
 
 
 def _check_path_tuples(forks: int, n: int, k: int, who: str) -> None:
@@ -54,21 +59,12 @@ def server_walk_sum(obf: ObfuscatedGraph, k: int) -> float:
     unbiased matrix A (zero diagonal) and costs k-4 matrix-vector products.
     It is a noise scale, not a path count.
     """
-    require_odd_k(k)
+    k = require_odd_k(k)
     a = obf.unbiased
     v = np.ones(obf.n, dtype=np.float64)
     for _ in range(k - 4):
         v = a @ v
     return float(v.sum())
-
-
-def canonical_cycle(seq: tuple[int, ...]) -> tuple[int, ...]:
-    """Rotate/reflect a cyclic vertex tuple to its canonical form."""
-    pivot = seq.index(min(seq))
-    rot = seq[pivot:] + seq[:pivot]
-    if rot[1] > rot[-1]:
-        rot = (rot[0],) + tuple(reversed(rot[1:]))
-    return rot
 
 
 def admissible(u, v, w, i):
@@ -104,13 +100,12 @@ def _path_grids(i: int, paths: np.ndarray, prods: np.ndarray, levels: int, ahat)
         yield from _path_grids(i, more, ext[rows, cols], levels - 1, ahat)
 
 
-def _admissible_sum(i: int, below, above, k: int, ahat, collector) -> float:
+def _admissible_sum(i: int, below, above, k: int, ahat) -> float:
     """Sum admissible products of distinct-vertex tuples (j, l2, ..., kappa).
 
     Bit for bit a depth-first sum: tuples in lexicographic order, products
     formed left to right from 1.0, zero terms dropped, each (j, kappa) pair
     summed sequentially from 0.0, pair totals added in below x above order.
-    ``collector`` counts each tuple of product exactly 1 by its cycle key.
     """
     v = np.arange(ahat.shape[0])
     total = 0.0
@@ -123,10 +118,6 @@ def _admissible_sum(i: int, below, above, k: int, ahat, collector) -> float:
                 ok = keep & (p != 0.0) & (v != kappa) & (paths != kappa).all(1)[:, None]
                 ok &= admissible(paths[:, -1:], v, kappa, i)  # (v, kappa, i): kappa > i
                 pair[kappa] = float(np.add.accumulate(np.append(pair[kappa], p[ok]))[-1])
-                if collector is not None:
-                    for r, c in zip(*np.nonzero(ok & (p == 1.0))):
-                        key = canonical_cycle((*map(int, paths[r]), int(c), kappa))
-                        collector[key] = collector.get(key, 0) + 1
         for kappa in above:
             total += pair[kappa]
     return total
@@ -165,25 +156,18 @@ def _k5_user_sum(i: int, below, above, ahat: np.ndarray) -> float:
     return total
 
 
-def user_cycle_estimate(
-    i: int,
-    projected_row,
-    obf: ObfuscatedGraph,
-    k: int,
-    *,
-    collector: dict | None = None,
-) -> float:
+def user_cycle_estimate(i: int, projected_row, obf: ObfuscatedGraph, k: int) -> float:
     """Sum admissible path products over all fork pairs of user i."""
-    require_odd_k(k)
+    k = require_odd_k(k)
     below, above = split_forks(tuple(projected_row), i)
     fork_count = len(below) * len(above)
     if fork_count == 0:
         return 0.0
     _check_path_tuples(fork_count, obf.n, k, f"user {i}")
     ahat = obf.unbiased
-    if k > 5 or collector is not None:
-        return _admissible_sum(i, below, above, k, ahat, collector)
-    return _k5_user_sum(i, below, above, ahat)
+    if k == 5:
+        return _k5_user_sum(i, below, above, ahat)
+    return _admissible_sum(i, below, above, k, ahat)
 
 
 def user_cycle_noise(c_hat, d_hat, walk_sum: float, eps1: float, eps2: float, u=None):
@@ -207,29 +191,21 @@ def estimate_odd_cycles(
     mode: str = "noisy",
     *,
     trial: int = 0,
-    multiplicity_out: dict | None = None,
 ) -> EstimateReport:
     """Full private k-cycle count for odd k >= 5.
 
-    In no-noise mode the result equals the exact cycle count; passing
-    ``multiplicity_out`` (no-noise only) records how many times each cycle
-    was counted, keyed by canonical vertex tuple in original node ids.
+    In no-noise mode the result equals the exact cycle count: user i counts
+    each cycle whose lowest-ranked monotone centre is i.
     """
-    require_odd_k(k)
+    k = require_odd_k(k)
     budget = resolve_mode(mode, budget)
-    if multiplicity_out is not None and mode == "noisy":
-        raise ValidationError("multiplicity instrumentation needs no-noise mode")
     stage = run_ordered_stage(graph, budget, seed, trial)
     n = graph.n
     forks = (split_forks(row, i) for i, row in enumerate(stage.projected))
     _check_path_tuples(sum(len(b) * len(a) for b, a in forks), n, k, "all users")
     walk_sum = server_walk_sum(stage.obf, k)
-    collector: dict | None = {} if multiplicity_out is not None else None
     per_user = np.array(
-        [
-            user_cycle_estimate(i, row, stage.obf, k, collector=collector)
-            for i, row in enumerate(stage.projected)
-        ]
+        [user_cycle_estimate(i, row, stage.obf, k) for i, row in enumerate(stage.projected)]
     )
     if mode == "noisy":
         u = np.array(
@@ -238,9 +214,4 @@ def estimate_odd_cycles(
         per_user = user_cycle_noise(
             per_user, stage.clipped_degrees, walk_sum, budget.eps1, budget.eps2, u
         )
-    if multiplicity_out is not None:
-        node_of_rank = stage.ordering.node_of_rank()
-        for key, count in collector.items():
-            original = canonical_cycle(tuple(int(node_of_rank[r]) for r in key))
-            multiplicity_out[original] = multiplicity_out.get(original, 0) + count
     return stage.report(per_user, budget, seed, mode, k=k, walk_sum=walk_sum)

@@ -17,7 +17,15 @@ import numpy as np
 from .cycles import estimate_odd_cycles, require_odd_k
 from .documents import Document
 from .errors import ValidationError
-from .graphs import Graph, gen_ba, gen_er, gen_ktree, graph_stats, load_edge_list
+from .graphs import (
+    Graph,
+    gen_ba,
+    gen_er,
+    gen_ktree,
+    graph_stats,
+    load_edge_list,
+    require_integer,
+)
 from .mechanisms import PrivacyBudget, derive_seed, substream
 from .oracles import count_cycles, count_low2stars, count_monotone_cycles, count_triangles
 from .ordering import apply_ordering, get_ordering
@@ -72,7 +80,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValidationError(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.trials < 1:
+        if require_integer(self.trials, "trials") < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if (self.graph_path is None) == (self.gen is None):
             raise ValidationError("exactly one of graph_path or gen is required")
@@ -83,7 +91,7 @@ class ExperimentConfig:
         elif self.k is not None:
             raise ValidationError(f"k applies only to the cycles task, got k={self.k}")
         resolve_mode(self.mode, self.budget)
-        if self.threads < 1:
+        if require_integer(self.threads, "threads") < 1:
             raise ValidationError(f"threads must be >= 1, got {self.threads}")
 
 
@@ -209,6 +217,7 @@ def verify_bounds(graph: Graph, orderings: int, eps0: float, seed: int) -> Bound
     bug.  The tighter chiba_sum <= m*degeneracy variant does not hold in
     general and is only reported.
     """
+    orderings = require_integer(orderings, "orderings")
     if orderings < 1:
         raise ValidationError(f"orderings must be >= 1, got {orderings}")
     stats = graph_stats(graph)
@@ -272,7 +281,7 @@ def error_scaling(config: ExperimentConfig, sizes) -> ScalingReport:
     slope is None when any size's RMSE is exactly zero (always so in
     no-noise mode), since log 0 has no fit.
     """
-    sizes = tuple(int(n) for n in sizes)
+    sizes = tuple(require_integer(n, "size") for n in sizes)
     if len(sizes) < 3 or list(sizes) != sorted(set(sizes)):
         raise ValidationError("need at least 3 strictly ascending sizes")
     if "{n}" not in (config.gen or ""):

@@ -43,7 +43,7 @@ class Graph:
         ``edges`` may be an iterable of pairs or a (k, 2) ndarray; an integer
         array is validated in a few vectorized passes.
         """
-        n = _integer(n, "node count")
+        n = require_integer(n, "node count")
         if n < 0:
             raise ValidationError(f"node count must be >= 0, got {n}")
         pairs = edges if isinstance(edges, np.ndarray) else list(edges)
@@ -77,7 +77,7 @@ def _is_integer(x) -> bool:
     return isinstance(x, Integral) and not isinstance(x, bool)
 
 
-def _integer(value, what: str) -> int:
+def require_integer(value, what: str) -> int:
     """``value`` as an ``int``, raising ValidationError unless it is an integer."""
     if not _is_integer(value):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
@@ -196,7 +196,7 @@ def gen_er(n: int, p: float, seed: int) -> Graph:
     drawn one row u at a time: memory is O(n + m), but time is still
     O(n^2) draws.
     """
-    n = _integer(n, "node count")
+    n = require_integer(n, "node count")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
@@ -246,8 +246,8 @@ def gen_ba(n: int, m0: int, seed: int) -> Graph:
     would make, read from the PCG64 raw stream (``_lemire``).  That takes
     every bound below 2**32, so 2*m0*(n - m0) must be too.
     """
-    n = _integer(n, "node count")
-    m0 = _integer(m0, "edges per new node")
+    n = require_integer(n, "node count")
+    m0 = require_integer(m0, "edges per new node")
     if m0 < 1:
         raise ValidationError(f"edges per new node must be >= 1, got {m0}")
     if n <= m0:
@@ -278,7 +278,7 @@ def gen_ktree(n: int, k: int, seed: int) -> Graph:
 
     Degeneracy is exactly k for n >= k+1.
     """
-    n, k = _integer(n, "node count"), _integer(k, "k")
+    n, k = require_integer(n, "node count"), require_integer(k, "k")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if n <= k:
@@ -295,25 +295,25 @@ def gen_ktree(n: int, k: int, seed: int) -> Graph:
 
 
 def path_graph(n: int) -> Graph:
-    n = _integer(n, "node count")
+    n = require_integer(n, "node count")
     return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
-    n = _integer(n, "node count")
+    n = require_integer(n, "node count")
     if n < 3:
         raise ValidationError(f"cycle needs >= 3 nodes, got {n}")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
-    n = _integer(n, "node count")
+    n = require_integer(n, "node count")
     return Graph.from_edges(n, combinations(range(n), 2))
 
 
 def star_graph(n: int) -> Graph:
     """Star on n nodes: center 0, leaves 1..n-1."""
-    n = _integer(n, "node count")
+    n = require_integer(n, "node count")
     return Graph.from_edges(n, ((0, i) for i in range(1, n)))
 
 

@@ -2,6 +2,8 @@
 
 The counters enumerate subsets and permutations; they deliberately avoid the
 library's path walker so the two routes act as oracles for each other.
+``charged_user`` is the no-noise charge rule: the one user whose sum counts
+a given cycle, read off the cycle's ranks alone.
 ``_admissible_sum_dfs`` is the depth-first, one-term-at-a-time admissible
 path sum whose float result the vectorized cycle route reproduces bit for
 bit, and ``_admissible_sum_k5_grid`` is the one-grid-per-fork-pair k=5 sum
@@ -31,7 +33,7 @@ from ldpcount import (
     randomize_response_row,
     unbias,
 )
-from ldpcount.cycles import admissible, canonical_cycle
+from ldpcount.cycles import admissible
 from ldpcount.oracles import has_monotone_triple
 
 
@@ -83,20 +85,25 @@ def brute_count_monotone_cycles(graph: Graph, length: int) -> int:
     return total
 
 
-def _admissible_sum_dfs(
-    i: int,
-    j: int,
-    kappa: int,
-    k: int,
-    rows,
-    collector: dict | None = None,
-) -> float:
+def charged_user(cycle) -> int:
+    """The rank whose no-noise sum counts ``cycle``: its lowest monotone centre.
+
+    ``cycle`` lists the ranks of a cycle in cyclic order.  A monotone centre
+    has one cycle neighbour ranked below it and one above.  Every odd cycle
+    has one: a cycle without one alternates peaks and valleys, so its length
+    is even.  For a triangle a < b < c the rule picks the middle rank b.
+    """
+    k = len(cycle)
+    return min(
+        v for t, v in enumerate(cycle) if (cycle[t - 1] < v) != (cycle[(t + 1) % k] < v)
+    )
+
+
+def _admissible_sum_dfs(i: int, j: int, kappa: int, k: int, rows) -> float:
     """Enumerate distinct-vertex tuples from j to kappa, k-2 edges long.
 
     ``rows`` is the unbiased matrix read as rows[u][v].  Products with a zero
     factor are pruned, which makes the no-noise mode walk only real edges.
-    ``collector`` (no-noise instrumentation) counts each tuple with product
-    exactly 1 under its canonical cycle key.
     """
     used = bytearray(len(rows))
     used[i] = used[j] = used[kappa] = 1
@@ -112,9 +119,6 @@ def _admissible_sum_dfs(
             ):
                 return
             total += p
-            if collector is not None and p == 1.0:
-                key = canonical_cycle((i, *path, kappa))
-                collector[key] = collector.get(key, 0) + 1
             return
         for v, entry in enumerate(rows[prev1]):
             if used[v]:

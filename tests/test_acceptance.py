@@ -16,7 +16,9 @@ from scipy import stats as sps
 
 from ldpcount import (
     ExperimentConfig,
+    Graph,
     PrivacyBudget,
+    apply_ordering,
     complete_graph,
     cycle_graph,
     degeneracy,
@@ -41,7 +43,16 @@ from ldpcount import (
 from ldpcount.cli import main as cli_main
 from ldpcount.oracles import count_cycles, count_triangles, enumerate_cycles
 
+from _brute import charged_user
+
 BUDGET = PrivacyBudget(0.5, 1.0, 1.0, 0.05)
+
+
+def _charges(g: Graph, k: int) -> list[int]:
+    """Each rank's no-noise count of k-cycles under the charge rule."""
+    ranked = apply_ordering(g, get_ordering(g, math.inf))
+    charged = [charged_user(c) for c in enumerate_cycles(ranked, k)]
+    return np.bincount(charged, minlength=g.n).tolist()
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -89,7 +100,8 @@ def test_criterion_2_no_noise_triangle_exactness(tmp_path, capsys):
     mismatches = 0
     for idx, g in enumerate(graphs):
         r = estimate_triangles(g, None, seed=idx, mode="no-noise")
-        if r.estimate != count_triangles(g):
+        # each triangle {a < i < c} is charged to its middle rank i
+        if r.estimate != count_triangles(g) or list(r.per_user) != _charges(g, 3):
             mismatches += 1
     # same check once through the CLI surface
     path = tmp_path / "c2.el"
@@ -109,38 +121,27 @@ def test_criterion_2_no_noise_triangle_exactness(tmp_path, capsys):
 
 
 def test_criterion_3_no_noise_cycle_exactness():
+    # Every cycle counted exactly once, by one user: per user, the sums equal
+    # the cycles charged to that rank, its lowest monotone centre.
     t0 = time.time()
-    cases5 = [gen_er(8 + idx % 7, 0.3, seed=2000 + idx) for idx in range(30)]
-    cases5 += [cycle_graph(5), petersen_graph()]
+    cases = [(gen_er(8 + idx % 7, 0.3, seed=2000 + idx), 5) for idx in range(30)]
+    cases += [(cycle_graph(5), 5), (petersen_graph(), 5)]
+    cases += [(gen_er(7 + idx % 4, 0.35, seed=3000 + idx), 7) for idx in range(10)]
     mism = 0
-    mult_bad = 0
-    for idx, g in enumerate(cases5):
-        mult: dict = {}
-        r = estimate_odd_cycles(
-            g, 5, None, seed=idx, mode="no-noise", multiplicity_out=mult
-        )
-        if r.estimate != count_cycles(g, 5):
+    bad_charge = 0
+    for idx, (g, k) in enumerate(cases):
+        r = estimate_odd_cycles(g, k, None, seed=idx, mode="no-noise")
+        if r.estimate != count_cycles(g, k):
             mism += 1
-        oracle = set(enumerate_cycles(g, 5))
-        if set(mult) != oracle or any(v != 1 for v in mult.values()):
-            mult_bad += 1
-    for idx in range(10):
-        g = gen_er(7 + idx % 4, 0.35, seed=3000 + idx)
-        mult = {}
-        r = estimate_odd_cycles(
-            g, 7, None, seed=idx, mode="no-noise", multiplicity_out=mult
-        )
-        if r.estimate != count_cycles(g, 7):
-            mism += 1
-        oracle = set(enumerate_cycles(g, 7))
-        if set(mult) != oracle or any(v != 1 for v in mult.values()):
-            mult_bad += 1
+        if list(r.per_user) != _charges(g, k):
+            bad_charge += 1
     elapsed = time.time() - t0
     _report(
         3,
-        "no-noise cycle exactness + multiplicity",
-        mism == 0 and mult_bad == 0 and elapsed < 300,
-        f"42 graphs, mismatches={mism}, bad multiplicity={mult_bad}, {elapsed:.1f}s",
+        "no-noise cycle exactness, counted once per cycle",
+        mism == 0 and bad_charge == 0 and elapsed < 300,
+        f"{len(cases)} graphs, mismatches={mism}, bad charge={bad_charge}, "
+        f"{elapsed:.1f}s",
     )
 
 

@@ -22,13 +22,13 @@ from ldpcount import (
     user_cycle_estimate,
     user_cycle_noise,
 )
-from ldpcount import cycles, derive_seed, make_graph
-from ldpcount.cycles import admissible, canonical_cycle
+from ldpcount import apply_ordering, cycles, derive_seed, get_ordering, make_graph
+from ldpcount.cycles import admissible
 from ldpcount.mechanisms import assemble_obfuscated
 from ldpcount.oracles import count_cycles, enumerate_cycles
 from ldpcount.protocol import split_forks
 
-from _brute import _admissible_sum_dfs, _admissible_sum_k5_grid
+from _brute import _admissible_sum_dfs, _admissible_sum_k5_grid, charged_user
 
 INF = math.inf
 
@@ -185,8 +185,8 @@ def test_k5_route_memory_does_not_grow_with_the_forks():
 @pytest.mark.parametrize("spec", ["er:6:0.9", "er:10:0.4", "ba:12:2", "er:11:0.35"])
 def test_path_route_matches_dfs_bit_for_bit(spec, noisy, k):
     # The vectorized route keeps the DFS's tuples, products and additions,
-    # so every fork pair and every user agrees to the last bit, and the
-    # multiplicity keys agree.  er:6:0.9 has n < k: every sum is 0.0.
+    # so every fork pair and every user agrees to the last bit.  er:6:0.9
+    # has n < k: every sum is 0.0.
     g = make_graph(spec, derive_seed(k, "graph"))
     obf = _noisy_obf(g, 1.0, seed=5) if noisy else assemble_obfuscated(g, INF)
     rows = obf.unbiased.tolist()
@@ -194,16 +194,15 @@ def test_path_route_matches_dfs_bit_for_bit(spec, noisy, k):
     for i in range(g.n):
         below, above = split_forks(g.adj[i], i)
         fork_users += bool(below and above)
-        dfs_total, dfs_keys, keys = 0.0, {}, {}
+        dfs_total = 0.0
         for j in below:
             for kappa in above:
-                dfs = _admissible_sum_dfs(i, j, kappa, k, rows, dfs_keys)
+                dfs = _admissible_sum_dfs(i, j, kappa, k, rows)
                 pair = user_cycle_estimate(i, (j, kappa), obf, k)
                 assert pair.hex() == dfs.hex(), (i, j, kappa)
                 dfs_total += dfs
-        got = user_cycle_estimate(i, g.adj[i], obf, k, collector=keys)
+        got = user_cycle_estimate(i, g.adj[i], obf, k)
         assert got.hex() == dfs_total.hex(), i
-        assert keys == dfs_keys
         nonzero += got != 0.0
     assert 0 < fork_users < g.n  # some users have an empty below or above
     assert (nonzero > 0) == (g.n >= k)
@@ -266,20 +265,16 @@ def test_no_noise_exactness_k7():
         assert r.estimate == count_cycles(g, 7)
 
 
-def test_multiplicity_instrumentation_counts_every_cycle_once():
+@pytest.mark.parametrize("k, cycles_found", [(5, 12), (9, 20)])
+def test_each_petersen_cycle_is_charged_to_its_lowest_monotone_centre(k, cycles_found):
+    # Per user, not only in total: user i's no-noise sum counts exactly the
+    # cycles whose lowest monotone centre is rank i.
     g = petersen_graph()
-    mult = {}
-    r = estimate_odd_cycles(g, 5, None, seed=3, mode="no-noise", multiplicity_out=mult)
-    oracle = {c for c in enumerate_cycles(g, 5)}
-    assert r.estimate == 12.0
-    assert set(mult) == oracle
-    assert all(v == 1 for v in mult.values())
-
-
-def test_multiplicity_requires_no_noise():
-    b = PrivacyBudget(0.5, 1.0, 1.0, 0.1)
-    with pytest.raises(ValidationError):
-        estimate_odd_cycles(cycle_graph(5), 5, b, 0, multiplicity_out={})
+    ranked = apply_ordering(g, get_ordering(g, INF))
+    charges = [charged_user(c) for c in enumerate_cycles(ranked, k)]
+    r = estimate_odd_cycles(g, k, None, seed=3, mode="no-noise")
+    assert r.estimate == len(charges) == cycles_found
+    assert list(r.per_user) == np.bincount(charges, minlength=g.n).tolist()
 
 
 def test_rejects_bad_k():
@@ -318,13 +313,6 @@ def test_path_guard_counts_all_users_before_any_sum(monkeypatch, spec):
     with pytest.raises(ResourceLimitError, match="all users"):
         estimate_odd_cycles(g, 7, PrivacyBudget(0.5, 1.0, 1.0, 0.05), 0)
     assert calls == []
-
-
-def test_canonical_cycle_forms():
-    assert canonical_cycle((2, 4, 1, 3)) == (1, 3, 2, 4)
-    assert canonical_cycle((1, 4, 2, 3)) == canonical_cycle((1, 3, 2, 4))
-    assert canonical_cycle((0, 1, 2)) == (0, 1, 2)
-    assert canonical_cycle((0, 2, 1)) == (0, 1, 2)
 
 
 def test_linearity_in_single_unbiased_entry():

@@ -11,8 +11,10 @@ from ldpcount import (
     TrialSummary,
     ValidationError,
     complete_graph,
+    cycle_graph,
     derive_seed,
     error_scaling,
+    estimate_odd_cycles,
     gen_ba,
     make_graph,
     run_trials,
@@ -55,6 +57,38 @@ def test_config_validation():
         ExperimentConfig(
             task="triangles", trials=1, seed=0, gen="er:5:0.2", k=5, budget=BUDGET
         )
+
+
+NO_NOISE_C5 = dict(task="cycles", trials=1, seed=0, gen="er:8:0.5", k=5, mode="no-noise")
+
+
+def _config(**kw):
+    return ExperimentConfig(**(NO_NOISE_C5 | kw))
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: estimate_odd_cycles(cycle_graph(5), 5.0, None, 0, "no-noise"),
+     "cycle length"),
+    (lambda: _config(k=5.0), "cycle length"),
+    (lambda: _config(k=7.0), "cycle length"),
+    (lambda: _config(k=True), "cycle length"),
+    (lambda: _config(trials=2.5), "trials"),
+    (lambda: _config(trials=True), "trials"),
+    (lambda: _config(threads=1.5), "threads"),
+    (lambda: _config(threads=True), "threads"),
+    (lambda: verify_bounds(path_graph(4), 2.5, 1.0, 0), "orderings"),
+    (lambda: error_scaling(_config(gen="er:{n}:0.5"), [8.9, 9.2, 10.7]), "size"),
+], ids=["estimate-k", "config-k5", "config-k7", "config-k-bool", "trials",
+        "trials-bool", "threads", "threads-bool", "orderings", "sizes"])
+def test_config_and_study_counts_must_be_integers(call, what):
+    with pytest.raises(ValidationError, match=f"{what} must be an integer"):
+        call()
+
+
+def test_numpy_integer_k_gives_a_json_report():
+    report = estimate_odd_cycles(cycle_graph(5), np.int64(5), None, 0, "no-noise")
+    assert type(report.k) is int
+    assert json.loads(json.dumps(report.to_json_dict()))["k"] == 5
 
 
 def test_run_trials_no_noise_has_zero_error():

@@ -23,9 +23,15 @@ Every generator is seeded and built where the determinism contract says:
 ``Philox``, ``Generator``, ``default_rng`` and ``SeedSequence`` are called
 only in ``mechanisms.substream`` and the seeded graph generators, and never
 without an argument, which would draw OS entropy.
+
+The estimators take the graph, the cycle length ``k`` for cycles, the
+budget, the seed, the mode and a keyword-only trial, and nothing else: a new
+option changes ``ESTIMATOR_SIGNATURES`` and has to show a measurement that
+it pays.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -269,3 +275,31 @@ def test_generators_are_seeded_and_built_only_where_the_contract_says():
         found += generator_constructions(tree, path.stem)
     assert sorted({scope for scope, _, _ in found}) == GENERATOR_SITES_ALLOWED
     assert [call for call in found if not call[2]] == []
+
+
+ESTIMATOR_SIGNATURES = {
+    "estimate_triangles": "(graph, budget, seed, mode, *, trial)",
+    "estimate_odd_cycles": "(graph, k, budget, seed, mode, *, trial)",
+}
+
+
+def parameter_layout(fn) -> str:
+    """``fn``'s parameter names, with ``*`` before the keyword-only ones."""
+    names = []
+    for p in inspect.signature(fn).parameters.values():
+        if p.kind is p.KEYWORD_ONLY and "*" not in names:
+            names.append("*")
+        names.append(f"*{p.name}" if p.kind is p.VAR_POSITIONAL else p.name)
+    return f"({', '.join(names)})"
+
+
+def test_finds_an_extra_estimator_option():
+    def estimate(graph, budget, seed, mode="noisy", *, trial=0, extra=None):
+        pass
+
+    assert parameter_layout(estimate) == "(graph, budget, seed, mode, *, trial, extra)"
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATOR_SIGNATURES))
+def test_estimators_take_no_option_beyond_their_pinned_signature(name):
+    assert parameter_layout(getattr(ldpcount, name)) == ESTIMATOR_SIGNATURES[name]
