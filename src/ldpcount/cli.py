@@ -133,7 +133,7 @@ def build_parser() -> _Parser:
     _add_trials(p)
     p.add_argument("--keep-estimates", action="store_true",
                    help="list every trial's estimate (JSON output only)")
-    p.set_defaults(run=lambda a: run_trials(_config_from(a)))
+    p.set_defaults(run=_experiment)
 
     p = sub.add_parser("verify-bounds", help="ordered-structure bound measurements")
     _add_source(p)
@@ -197,6 +197,12 @@ def _config_from(args) -> ExperimentConfig:
         threads=args.threads,
         keep_estimates=args.keep_estimates,
     )
+
+
+def _experiment(args):
+    if args.keep_estimates and args.format == "csv":
+        raise ValidationError("--keep-estimates needs --format json: CSV has no estimates")
+    return run_trials(_config_from(args))
 
 
 def _int_list(text: str) -> tuple[int, ...]:

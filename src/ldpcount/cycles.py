@@ -123,41 +123,73 @@ def _admissible_sum(i: int, below, above, k: int, ahat) -> float:
     return total
 
 
-def _k5_user_sum(i: int, below, above, ahat: np.ndarray) -> float:
+def _k5_scratch(n: int) -> tuple[np.ndarray, ...]:
+    """The n x n buffers of ``_k5_user_sum``: weights, user, fork and pair masks.
+
+    Reusing them across users keeps an estimate from allocating, and
+    refaulting, n^2 blocks per user.
+    """
+    return np.empty((n, n)), *(np.empty((n, n), dtype=bool) for _ in range(3))
+
+
+def _k5_pair_masks(i: int, below, above, user, fork, pair):
+    """Yield (j, kappa, rows, cells): fork pair (j, kappa)'s (l2, l3) mask.
+
+    For j < i < kappa the distinctness and ``admissible`` rules of the cycle
+    (i, j, l2, l3, kappa) reduce to a closed form: l2 > j, l2 not in
+    {i, kappa}, l3 not in {i, j, kappa}, l2 != l3, and l3 < l2 or l2 > i.
+    ``user`` gets the clauses free of j and kappa, once; ``fork`` its rows
+    l2 > j, those ``rows``, with column j cleared, once per j; ``cells`` is
+    ``pair[rows]``, with row and column kappa cleared too.  Rows l2 <= j
+    hold no masked cell, so they are left out.
+    """
+    n = user.shape[0]
+    ids = np.arange(n)
+    np.greater(ids[:, None], ids, out=user)  # l3 < l2
+    user[i] = False  # l2 != i
+    user[i + 1 :] = True  # or l2 > i
+    user[:, i] = False  # l3 != i
+    np.fill_diagonal(user, False)  # l2 != l3
+    for j in below:
+        rows = slice(j + 1, n)
+        forked, cells = fork[rows], pair[rows]
+        np.copyto(forked, user[rows])
+        forked[:, j] = False
+        for kappa in above:
+            np.copyto(cells, forked)
+            cells[kappa - j - 1] = cells[:, kappa] = False
+            yield j, kappa, rows, cells
+
+
+def _k5_user_sum(i: int, below, above, ahat: np.ndarray, scratch=None) -> float:
     """k=5 case: cycles (i, j, l2, l3, kappa) over (l2, l3) grids, all fork pairs.
 
     Each pair's masked cells are taken in row-major (l2, l3) order, their
     products formed as (Â[j,l2]·Â[l3,kappa])·Â[l2,l3] and summed by numpy's
     pairwise ``sum``; pair totals are added from 0.0 in below x above order.
-    The mask parts that depend on neither j nor kappa are built once per
-    user, those that depend on j once per j.
+    ``scratch`` is ``_k5_scratch(n)``; without it the call allocates its own.
     """
-    ids = np.arange(ahat.shape[0])
-    l2, l3 = ids[:, None], ids[None, :]
-    # Every kappa > i gives the same (l2, l3, kappa) and (l3, kappa, i)
-    # masks: the first reads kappa only through l3 < kappa, which holds
-    # wherever l3 <= i (a center l3 > i is admissible anyway), and the
-    # second is never monotone.
-    user = (l2 != l3) & (l2 != i) & (l3 != i)
-    user &= admissible(l2, l3, above[0], i) & admissible(l3, above[0], i, i)
-    mask = np.empty_like(user)
-    weights = np.empty(ahat.shape)
+    weights, *masks = _k5_scratch(ahat.shape[0]) if scratch is None else scratch
     total = 0.0
-    for j in below:
-        fork = user & admissible(i, j, l2, i) & admissible(j, l2, l3, i)
-        fork[j] = fork[:, j] = False
-        for kappa in above:
-            np.copyto(mask, fork)
-            mask[kappa] = mask[:, kappa] = False
-            # Â is symmetric, so its contiguous row kappa is column kappa
-            np.multiply.outer(ahat[j], ahat[kappa], out=weights)
-            weights *= ahat
-            total += float(weights[mask].sum())
+    for j, kappa, rows, cells in _k5_pair_masks(i, below, above, *masks):
+        grid = weights[rows]
+        # Â is symmetric, so its contiguous row kappa is column kappa;
+        # broadcasting it, then scaling rows, beats np.multiply.outer
+        np.copyto(grid, ahat[kappa])
+        grid *= ahat[j, rows, None]
+        grid *= ahat[rows]
+        total += float(grid[cells].sum())
     return total
 
 
-def user_cycle_estimate(i: int, projected_row, obf: ObfuscatedGraph, k: int) -> float:
-    """Sum admissible path products over all fork pairs of user i."""
+def user_cycle_estimate(
+    i: int, projected_row, obf: ObfuscatedGraph, k: int, *, scratch=None
+) -> float:
+    """Sum admissible path products over all fork pairs of user i.
+
+    For k = 5, ``scratch`` may hold ``_k5_scratch(n)`` buffers to reuse;
+    without it the call allocates its own.
+    """
     k = require_odd_k(k)
     below, above = split_forks(tuple(projected_row), i)
     fork_count = len(below) * len(above)
@@ -166,7 +198,7 @@ def user_cycle_estimate(i: int, projected_row, obf: ObfuscatedGraph, k: int) -> 
     _check_path_tuples(fork_count, obf.n, k, f"user {i}")
     ahat = obf.unbiased
     if k == 5:
-        return _k5_user_sum(i, below, above, ahat)
+        return _k5_user_sum(i, below, above, ahat, scratch)
     return _admissible_sum(i, below, above, k, ahat)
 
 
@@ -204,8 +236,12 @@ def estimate_odd_cycles(
     forks = (split_forks(row, i) for i, row in enumerate(stage.projected))
     _check_path_tuples(sum(len(b) * len(a) for b, a in forks), n, k, "all users")
     walk_sum = server_walk_sum(stage.obf, k)
+    scratch = _k5_scratch(n) if k == 5 else None
     per_user = np.array(
-        [user_cycle_estimate(i, row, stage.obf, k) for i, row in enumerate(stage.projected)]
+        [
+            user_cycle_estimate(i, row, stage.obf, k, scratch=scratch)
+            for i, row in enumerate(stage.projected)
+        ]
     )
     if mode == "noisy":
         u = np.array(

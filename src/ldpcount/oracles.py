@@ -12,7 +12,7 @@ from typing import Iterator
 
 from .documents import Document
 from .errors import ResourceLimitError, ValidationError
-from .graphs import Graph
+from .graphs import Graph, require_integer
 
 PARTIAL_PATH_LIMIT = 10**8
 MAX_CYCLE_LENGTH = 9
@@ -75,6 +75,7 @@ def enumerate_cycles(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
     Canonical form: minimum vertex first, then the direction whose second
     vertex is smaller than the last.
     """
+    k = require_integer(k, "cycle length")
     if k < 3:
         raise ValidationError(f"cycle length must be >= 3, got {k}")
     if k > MAX_CYCLE_LENGTH:
@@ -94,6 +95,7 @@ def count_cycles(graph: Graph, k: int) -> int:
 
 def count_paths(graph: Graph, k: int) -> int:
     """Number of simple paths with k edges, endpoint-unordered."""
+    k = require_integer(k, "path edge count")
     if k < 1:
         raise ValidationError(f"path edge count must be >= 1, got {k}")
     paths = _simple_paths(graph, k, rising=False)
@@ -128,6 +130,7 @@ def count_monotone_cycles(graph: Graph, length: int) -> int:
     Ordering-sensitive: node ids must already be the ranks.  Every length
     filters the cycles of ``enumerate_cycles``.
     """
+    length = require_integer(length, "length")
     if length % 2 != 0 or length < 4:
         raise ValidationError(f"length must be even and >= 4, got {length}")
     return sum(1 for c in enumerate_cycles(graph, length) if has_monotone_triple(c))
@@ -150,10 +153,14 @@ def exact_counts(
     path_lengths: tuple[int, ...] = (),
     monotone_lengths: tuple[int, ...] = (),
 ) -> ExactCounts:
+    # each counter refuses a length that is not an integer, so int() only
+    # turns an integer such as np.int64(5) into the key 5
     return ExactCounts(
         triangles=count_triangles(graph),
         low2stars=count_low2stars(graph),
-        cycles={k: count_cycles(graph, k) for k in cycle_lengths},
-        paths={k: count_paths(graph, k) for k in path_lengths},
-        monotone_cycles={k: count_monotone_cycles(graph, k) for k in monotone_lengths},
+        cycles={int(k): count_cycles(graph, k) for k in cycle_lengths},
+        paths={int(k): count_paths(graph, k) for k in path_lengths},
+        monotone_cycles={
+            int(k): count_monotone_cycles(graph, k) for k in monotone_lengths
+        },
     )

@@ -7,7 +7,8 @@ a given cycle, read off the cycle's ranks alone.
 ``_admissible_sum_dfs`` is the depth-first, one-term-at-a-time admissible
 path sum whose float result the vectorized cycle route reproduces bit for
 bit, and ``_admissible_sum_k5_grid`` is the one-grid-per-fork-pair k=5 sum
-whose float result the per-user k=5 route reproduces bit for bit.  The
+whose float result the per-user k=5 route reproduces bit for bit; its mask,
+``_k5_grid_mask``, is the definition the route's closed-form masks equal.  The
 server-layer references (``_assemble_bits_lower_plus_transpose``,
 ``_unbiased_one_shot``, ``_relabel_from_edges``, ``_fork_sum_ix``) are the
 direct forms that the library's panel mirror, array relabel and fork sums
@@ -136,9 +137,9 @@ def _admissible_sum_dfs(i: int, j: int, kappa: int, k: int, rows) -> float:
     return total
 
 
-def _admissible_sum_k5_grid(i: int, j: int, kappa: int, ahat: np.ndarray) -> float:
-    """Vectorized k=5 case: cycles (i, j, l2, l3, kappa) over the (l2, l3) grid."""
-    ids = np.arange(ahat.shape[0])
+def _k5_grid_mask(i: int, j: int, kappa: int, n: int) -> np.ndarray:
+    """The (l2, l3) cells of cycles (i, j, l2, l3, kappa) user i may count."""
+    ids = np.arange(n)
     # distinct vertices: l2 and l3 outside {i, j, kappa}, and l2 != l3
     outside = (ids != i) & (ids != j) & (ids != kappa)
     allowed = np.outer(outside, outside)
@@ -146,6 +147,12 @@ def _admissible_sum_k5_grid(i: int, j: int, kappa: int, ahat: np.ndarray) -> flo
     cycle = (i, j, ids[:, None], ids[None, :], kappa, i)
     for u, v, w in zip(cycle, cycle[1:], cycle[2:]):
         allowed &= admissible(u, v, w, i)
+    return allowed
+
+
+def _admissible_sum_k5_grid(i: int, j: int, kappa: int, ahat: np.ndarray) -> float:
+    """Vectorized k=5 case: cycles (i, j, l2, l3, kappa) over the (l2, l3) grid."""
+    allowed = _k5_grid_mask(i, j, kappa, ahat.shape[0])
     weights = np.multiply.outer(ahat[j], ahat[:, kappa]) * ahat
     return float(weights[allowed].sum())
 

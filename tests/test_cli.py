@@ -395,6 +395,15 @@ def test_experiment_csv_golden_header_and_determinism(tmp_path, capsys):
     assert out1 == out4
 
 
+def test_keep_estimates_with_csv_exit_1(capsys):
+    # CSV has no estimates column; the flag was once dropped without a word
+    args = ("experiment", "--task", "triangles", "--gen", "ba:30:2", "--trials", "2",
+            "--mode", "no-noise", "--keep-estimates")
+    for fmt in ((), ("--format", "csv")):
+        code, out, err = run_cli(capsys, *args, *fmt)
+        assert_rejected(code, out, err, "--keep-estimates", "--format")
+
+
 def test_experiment_json_format(capsys):
     code, out, _ = run_cli(capsys, "experiment", "--task", "cycles", "--k", "5",
                            "--gen", "er:12:0.3", "--trials", "4", "--seed", "1",

@@ -28,7 +28,12 @@ from ldpcount.mechanisms import assemble_obfuscated
 from ldpcount.oracles import count_cycles, enumerate_cycles
 from ldpcount.protocol import split_forks
 
-from _brute import _admissible_sum_dfs, _admissible_sum_k5_grid, charged_user
+from _brute import (
+    _admissible_sum_dfs,
+    _admissible_sum_k5_grid,
+    _k5_grid_mask,
+    charged_user,
+)
 
 INF = math.inf
 
@@ -126,22 +131,31 @@ def test_grid_route_matches_dfs_on_noisy_entries():
                 assert grid == pytest.approx(dfs, rel=1e-9, abs=1e-9)
 
 
-def test_k5_hoisted_masks_are_the_same_for_every_kappa_above_i():
-    # The k=5 route builds the (l2, l3, kappa) and (l3, kappa, i) masks once
-    # per user, at its first kappa above i; every kappa > i must agree.
-    for i, l2, l3 in itertools.product(range(8), repeat=3):
-        for kappa in range(i + 1, 10):
-            assert admissible(l2, l3, kappa, i) == admissible(l2, l3, i + 1, i)
-            assert admissible(l3, kappa, i, i) == admissible(l3, i + 1, i, i)
+def test_k5_closed_form_masks_equal_their_definition():
+    # The k=5 route builds each fork pair's mask from a closed form; for
+    # every n <= 9, user i and pair j < i < kappa it must equal the
+    # distinctness-plus-admissible grid of the reference.
+    for n in range(3, 10):
+        masks = [np.empty((n, n), dtype=bool) for _ in range(3)]
+        for i in range(1, n - 1):
+            below, above = range(i), range(i + 1, n)
+            pairs = cycles._k5_pair_masks(i, below, above, *masks)
+            for j, kappa, rows, cells in pairs:
+                got = np.zeros((n, n), dtype=bool)
+                got[rows] = cells
+                want = _k5_grid_mask(i, j, kappa, n)
+                assert np.array_equal(got, want), (n, i, j, kappa)
 
 
 @pytest.mark.parametrize("eps1", [0.1, 1.0, INF], ids=["eps0.1", "eps1", "no-noise"])
 @pytest.mark.parametrize(
-    "spec", ["er:6:0.9", "er:10:0.4", "ba:12:2", "er:11:0.35", "ba:24:2"]
+    "spec", ["er:6:0.9", "er:10:0.4", "ba:12:2", "er:11:0.35", "ba:24:2", "er:8:1.0"]
 )
 def test_k5_route_matches_per_pair_grid_bit_for_bit(spec, eps1):
     # The per-user route keeps each fork pair's masked cells, products and
     # pairwise sum, and adds the pair totals from 0.0 in below x above order.
+    # er:8:1.0 is K8: every user has the pairs j = i - 1, kappa = i + 1 and
+    # kappa = n - 1.
     g = make_graph(spec, derive_seed(5, "graph"))
     obf = _noisy_obf(g, eps1, seed=5)
     ahat = obf.unbiased
@@ -178,6 +192,33 @@ def test_k5_route_memory_does_not_grow_with_the_forks():
         tracemalloc.stop()
     assert total != 0.0
     assert peak < 24 * n * n
+
+
+@pytest.mark.parametrize("k", [5, 7])
+def test_k5_scratch_is_allocated_once_per_estimate(monkeypatch, k):
+    # One set of n^2 buffers serves every user of a k=5 estimate; the k>=7
+    # route needs none, and a direct per-user call allocates its own.
+    made, seen = [], set()
+    scratch, estimate = cycles._k5_scratch, cycles.user_cycle_estimate
+
+    def counting_scratch(n):
+        made.append(n)
+        return scratch(n)
+
+    def recording_estimate(*args, scratch=None):
+        seen.add(id(scratch))
+        return estimate(*args, scratch=scratch)
+
+    monkeypatch.setattr(cycles, "_k5_scratch", counting_scratch)
+    monkeypatch.setattr(cycles, "user_cycle_estimate", recording_estimate)
+    g = make_graph("ba:30:3", derive_seed(0, "graph"))
+    report = estimate_odd_cycles(g, k, PrivacyBudget(0.5, 1.0, 1.0, 0.05), 0)
+    assert made == ([g.n] if k == 5 else [])
+    assert len(seen) == 1 and (id(None) in seen) == (k != 5)
+    assert report.estimate != 0.0
+    made.clear()
+    estimate(2, (0, 1, 3, 4), assemble_obfuscated(g, INF), k)
+    assert made == ([g.n] if k == 5 else [])
 
 
 @pytest.mark.parametrize("k", [7, 9])

@@ -167,6 +167,32 @@ def test_exact_counts_bundle_json():
     assert c.cycles[3] == c.triangles
 
 
+@pytest.mark.parametrize("count", [count_cycles, count_paths, count_monotone_cycles])
+@pytest.mark.parametrize("length", [4.5, 4.0, 2.5, True, "4"], ids=repr)
+def test_lengths_must_be_integers(count, length):
+    # a float or bool once ran as its truncation: count_cycles(g, 4.5) was
+    # the 4-cycle count and count_paths(g, 2.5) the 2-edge path count
+    with pytest.raises(ValidationError, match="must be an integer"):
+        count(complete_graph(6), length)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        next(enumerate_cycles(complete_graph(6), length))
+
+
+def test_numpy_integer_lengths_give_int_keys():
+    g = complete_graph(6)
+    four = np.int64(4)
+    assert count_cycles(g, four) == count_cycles(g, 4) == 45
+    assert count_paths(g, np.int64(2)) == count_paths(g, 2)
+    c = exact_counts(g, cycle_lengths=(four,), path_lengths=(four,),
+                     monotone_lengths=(four,))
+    for counts in (c.cycles, c.paths, c.monotone_cycles):
+        assert [type(k) for k in counts] == [int]
+    assert c == exact_counts(g, cycle_lengths=(4,), path_lengths=(4,),
+                             monotone_lengths=(4,))
+    with pytest.raises(ValidationError, match="cycle length must be an integer"):
+        exact_counts(g, cycle_lengths=(4.0,))
+
+
 def test_ordered_structure_constants_reported():
     # Analytic envelopes scale as degeneracy^2*n (low 2-stars) and
     # degeneracy^3*n (monotone 4-cycles); print the measured constants on a
