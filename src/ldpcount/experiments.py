@@ -111,27 +111,11 @@ class TrialSummary(Document):
     clipped_fraction: float
     estimates: tuple[float, ...] | None = None
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "TrialSummary":
-        est = doc.get("estimates")
-        return cls(
-            **{c: float(doc[c]) for c in SUMMARY_COLUMNS},
-            estimates=None if est is None else tuple(float(x) for x in est),
-        )
-
     def csv_row(self) -> str:
         return ",".join(repr(getattr(self, c)) for c in SUMMARY_COLUMNS)
 
     def to_csv(self) -> str:
         return ",".join(SUMMARY_COLUMNS) + "\n" + self.csv_row() + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "TrialSummary":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if len(lines) != 2 or lines[0] != ",".join(SUMMARY_COLUMNS):
-            raise ValidationError("unrecognized trial-summary CSV layout")
-        values = [float(x) for x in lines[1].split(",")]
-        return cls(**dict(zip(SUMMARY_COLUMNS, values)))
 
 
 def standard_error(x: np.ndarray) -> float:

@@ -18,7 +18,11 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .documents import Document
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ResourceLimitError, ValidationError
+
+# At about 31 bytes per node of an edgeless build, the 4 GiB of
+# mechanisms.DENSE_BYTES_LIMIT; the pair keys lo*n + hi stay far below 2**63.
+NODE_LIMIT = 4 * 2**30 // 32
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,10 @@ def _first_fault(n: int, pairs: list | np.ndarray) -> tuple[int, str] | None:
     ``[0, n)``, then a self-loop, then a repeat in either orientation.  An
     ndarray that passes ``_array_is_simple`` has no fault; any other runs
     the pair loop on its ``tolist()``, so it reports as its list form does.
+    An ``n`` above NODE_LIMIT raises ResourceLimitError before any check.
     """
+    if n > NODE_LIMIT:
+        raise ResourceLimitError(f"n={n} nodes > NODE_LIMIT={NODE_LIMIT}; shrink n")
     if isinstance(pairs, np.ndarray):
         if _array_is_simple(n, pairs):
             return None

@@ -21,7 +21,6 @@ from functools import cached_property
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .documents import plain
 from .errors import ResourceLimitError, ValidationError
 from .graphs import Graph, edge_array
 
@@ -318,15 +317,6 @@ class PrivacyBudget:
     @property
     def total(self) -> float:
         return self.eps0 + self.eps1 + self.eps2
-
-    def to_json_dict(self) -> dict:
-        return plain(self)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "PrivacyBudget":
-        return cls(
-            eps0=doc["eps0"], eps1=doc["eps1"], eps2=doc["eps2"], zeta=doc["zeta"]
-        )
 
 
 def check_budget(budget: PrivacyBudget, eps_total: float) -> bool:

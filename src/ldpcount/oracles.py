@@ -70,10 +70,11 @@ def _simple_paths(graph: Graph, edges: int, rising: bool) -> Iterator[list[int]]
 
 
 def enumerate_cycles(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
-    """Yield each k-cycle once, as a canonical vertex tuple.
+    """Each k-cycle once, as a canonical vertex tuple, from a lazy iterator.
 
     Canonical form: minimum vertex first, then the direction whose second
-    vertex is smaller than the last.
+    vertex is smaller than the last.  ``k`` is checked at the call, before
+    any cycle is drawn.
     """
     k = require_integer(k, "cycle length")
     if k < 3:
@@ -83,9 +84,8 @@ def enumerate_cycles(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
             f"cycle length {k} exceeds the desk-scale cap of {MAX_CYCLE_LENGTH}"
         )
     adj_sets = graph.adj_sets
-    for path in _simple_paths(graph, k - 1, rising=True):
-        if path[1] < path[-1] and path[0] in adj_sets[path[-1]]:
-            yield tuple(path)
+    paths = _simple_paths(graph, k - 1, rising=True)
+    return (tuple(p) for p in paths if p[1] < p[-1] and p[0] in adj_sets[p[-1]])
 
 
 def count_cycles(graph: Graph, k: int) -> int:

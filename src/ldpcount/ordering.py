@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .documents import plain
 from .errors import ValidationError
 from .graphs import Graph, relabel, require_permutation
 from .mechanisms import as_uniforms, laplace_quantile, require_eps
@@ -40,23 +39,6 @@ class NodeOrdering:
     @property
     def n(self) -> int:
         return len(self.phi)
-
-    def node_of_rank(self) -> np.ndarray:
-        """Inverse permutation: node carrying each rank."""
-        inv = np.empty(self.n, dtype=np.int64)
-        inv[self.phi] = np.arange(self.n)
-        return inv
-
-    def to_json_dict(self) -> dict:
-        return plain(self)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "NodeOrdering":
-        return cls(
-            phi=require_permutation(doc["phi"], len(doc["phi"])),
-            noisy_degrees=np.asarray(doc["noisy_degrees"], dtype=np.float64),
-            eps0=float(doc["eps0"]),
-        )
 
 
 def get_ordering(graph: Graph, eps0: float, u=None) -> NodeOrdering:

@@ -27,7 +27,7 @@ from .mechanisms import (
     project_mu,
     substream,
 )
-from .ordering import NodeOrdering, apply_ordering, get_ordering
+from .ordering import apply_ordering, get_ordering
 
 MODES = ("noisy", "no-noise")
 
@@ -95,29 +95,11 @@ class EstimateReport(Document):
     k: int | None = None
     walk_sum: float | None = None
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "EstimateReport":
-        return cls(
-            estimate=float(doc["estimate"]),
-            per_user=tuple(float(x) for x in doc["per_user"]),
-            budget=(
-                None
-                if doc["budget"] is None
-                else PrivacyBudget.from_json_dict(doc["budget"])
-            ),
-            seed=int(doc["seed"]),
-            clipped_users=int(doc["clipped_users"]),
-            mode=doc["mode"],
-            k=doc.get("k"),
-            walk_sum=doc.get("walk_sum"),
-        )
-
 
 @dataclass(frozen=True)
 class OrderedStage:
     """Everything both estimators need after the first two queries."""
 
-    ordering: NodeOrdering
     obf: ObfuscatedGraph
     clipped_degrees: np.ndarray  # real-valued, per rank
     projected: tuple[tuple[int, ...], ...]
@@ -168,7 +150,6 @@ def run_ordered_stage(
     d_hat = clipped_degree(noisy_by_rank, budget.eps0, n, budget.zeta)
     floors = np.floor(d_hat)
     return OrderedStage(
-        ordering=ordering,
         obf=obf,
         clipped_degrees=d_hat,
         projected=tuple(project_mu(reordered.adj[i], floors[i]) for i in range(n)),

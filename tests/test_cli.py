@@ -266,6 +266,18 @@ def test_resource_limit_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("big", [99_999_999_999, 2**62, 2**70], ids=repr)
+def test_huge_node_id_exit_2(tmp_path, capsys, big):
+    # these died with a 745 GiB MemoryError, an int64 key overflow (exit 1)
+    # and an OverflowError traceback
+    path = tmp_path / "big.el"
+    path.write_text(f"0 1\n1 {big}\n")
+    code, out, err = run_cli(capsys, "stats", "--graph", str(path))
+    assert code == 2
+    assert err == f"error: n={big + 1} nodes > NODE_LIMIT=134217728; shrink n\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "command",
     [("estimate-triangles",), ("estimate-cycles", "--k", "5")],

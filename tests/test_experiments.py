@@ -8,7 +8,6 @@ import pytest
 from ldpcount import (
     ExperimentConfig,
     PrivacyBudget,
-    TrialSummary,
     ValidationError,
     complete_graph,
     cycle_graph,
@@ -125,22 +124,6 @@ def test_run_trials_threads_do_not_change_results():
     s1 = run_trials(ExperimentConfig(**base, threads=1, keep_estimates=True))
     s4 = run_trials(ExperimentConfig(**base, threads=4, keep_estimates=True))
     assert s1 == s4
-
-
-def test_trial_summary_round_trips():
-    s = TrialSummary(
-        exact=19.0, mean=18.25, rmse=40.5, bias=-0.75, stderr=0.9,
-        clipped_fraction=0.125,
-    )
-    assert TrialSummary.from_csv(s.to_csv()) == s
-    assert TrialSummary.from_json_dict(json.loads(json.dumps(s.to_json_dict()))) == s
-    with_est = TrialSummary(
-        exact=1.0, mean=2.0, rmse=1.5, bias=1.0, stderr=0.5,
-        clipped_fraction=0.0, estimates=(2.0, 2.5),
-    )
-    doc = json.loads(json.dumps(with_est.to_json_dict()))
-    assert TrialSummary.from_json_dict(doc) == with_est
-    assert s.to_csv().splitlines()[0] == "exact,mean,rmse,bias,stderr,clipped_fraction"
 
 
 def test_verify_bounds_k4_exact_mode():

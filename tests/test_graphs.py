@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ldpcount import (
     Graph,
     ParseError,
+    ResourceLimitError,
     ValidationError,
     complete_graph,
     derive_seed,
@@ -25,7 +26,7 @@ from ldpcount import (
     relabel,
     star_graph,
 )
-from ldpcount.graphs import _lemire, _raw_halves
+from ldpcount.graphs import NODE_LIMIT, _lemire, _raw_halves
 from ldpcount.oracles import count_cycles, count_triangles
 
 from _brute import _gen_ba_integers, _graph_from_edge_set, _relabel_from_edges
@@ -98,6 +99,18 @@ def test_from_edges_validation():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(ValidationError, match="node count"):
         Graph.from_edges(-1, [])
+
+
+def test_node_limit_refused_before_any_array_of_n():
+    # 10**12 nodes once asked numpy for 7.28 TiB and raised MemoryError
+    tracemalloc.start()
+    with pytest.raises(ResourceLimitError, match="NODE_LIMIT"):
+        Graph.from_edges(10**12, [])
+    with pytest.raises(ResourceLimitError, match="NODE_LIMIT"):
+        Graph.from_edges(NODE_LIMIT + 1, np.array([[0, NODE_LIMIT]]))
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 2**20
 
 
 FAULTS = [

@@ -11,7 +11,10 @@ protocol stage builds substreams, so no function takes an ``rng`` except
 A module imports only names it uses; ``__init__.py`` imports to re-export.
 
 The document format is written once: only ``documents.py`` names the
-``"schema"`` key that stamps every report.
+``"schema"`` key that stamps every report.  Reports are written, never read
+back: no module defines ``from_json_dict`` or ``from_csv``, and only
+``documents.Document`` and the one ``graphs.GraphStats`` override define
+``to_json_dict``.
 
 Estimate reports are assembled once: only ``protocol.py`` calls
 ``EstimateReport(...)``, at a single site.
@@ -145,6 +148,51 @@ def test_schema_key_written_only_in_documents(path):
     assert schema_literals(tree) == []
 
 
+DOCUMENT_METHODS = {"from_json_dict", "from_csv", "to_json_dict"}
+DOCUMENT_METHODS_ALLOWED = [
+    "documents.Document.to_json_dict",
+    "graphs.GraphStats.to_json_dict",
+]
+
+
+def document_methods(tree: ast.AST, module: str) -> list[str]:
+    """Definitions of a document reader or writer, as ``module.Class.name``."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if is_function and child.name in DOCUMENT_METHODS:
+                found.append(f"{scope}.{child.name}")
+            named = is_function or isinstance(child, ast.ClassDef)
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    visit(tree, module)
+    return found
+
+
+def test_finds_document_methods():
+    tree = ast.parse(
+        "class Report(Document):\n"
+        "    def to_json_dict(self):\n        return {}\n"
+        "    @classmethod\n"
+        "    def from_json_dict(cls, doc):\n        return cls()\n"
+        "def from_csv(text):\n    pass\n"
+        "r = Report.from_json_dict({})\nto_json_dict = r.to_json_dict\n"
+    )
+    assert document_methods(tree, "m") == [
+        "m.Report.to_json_dict", "m.Report.from_json_dict", "m.from_csv",
+    ]
+
+
+def test_reports_are_written_never_read_back():
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += document_methods(tree, path.stem)
+    assert found == DOCUMENT_METHODS_ALLOWED
+
+
 def report_constructions(tree: ast.AST) -> list[int]:
     """Line numbers of calls to ``EstimateReport``, bare or as an attribute."""
     return [
@@ -158,7 +206,7 @@ def report_constructions(tree: ast.AST) -> list[int]:
 def test_finds_report_construction():
     tree = ast.parse(
         "a = EstimateReport(1)\nb = protocol.EstimateReport(2)\n"
-        "c = EstimateReport\nd = EstimateReport.from_json_dict({})\n"
+        "c = EstimateReport\nd = EstimateReport.mro()\n"
     )
     assert report_constructions(tree) == [1, 2]
 

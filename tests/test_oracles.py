@@ -56,6 +56,11 @@ def test_cycles_guards():
         count_cycles(cycle_graph(4), 2)
     with pytest.raises(ResourceLimitError):
         count_cycles(cycle_graph(12), 10)
+    # at the call, not at the first next()
+    with pytest.raises(ValidationError):
+        enumerate_cycles(complete_graph(4), 2)
+    with pytest.raises(ResourceLimitError):
+        enumerate_cycles(complete_graph(4), 12)
 
 
 def test_partial_path_guard_trips_on_every_walker_route(monkeypatch):
@@ -175,7 +180,7 @@ def test_lengths_must_be_integers(count, length):
     with pytest.raises(ValidationError, match="must be an integer"):
         count(complete_graph(6), length)
     with pytest.raises(ValidationError, match="must be an integer"):
-        next(enumerate_cycles(complete_graph(6), length))
+        enumerate_cycles(complete_graph(6), length)  # at the call, not at next()
 
 
 def test_numpy_integer_lengths_give_int_keys():

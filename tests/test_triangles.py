@@ -1,11 +1,9 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
 from ldpcount import (
-    EstimateReport,
     Graph,
     PrivacyBudget,
     ValidationError,
@@ -143,15 +141,6 @@ def test_determinism_and_trial_sensitivity():
     c = estimate_triangles(g, b, seed=9, trial=4)
     assert a == bb
     assert a.estimate != c.estimate
-
-
-def test_report_json_round_trip():
-    g = gen_er(10, 0.3, seed=2)
-    b = PrivacyBudget(0.5, 1.0, 1.0, 0.05)
-    r = estimate_triangles(g, b, seed=3)
-    doc = json.loads(json.dumps(r.to_json_dict()))
-    assert EstimateReport.from_json_dict(doc) == r
-    assert doc["schema"] == 1
 
 
 def test_unbiased_conditional_on_no_clipping():
