@@ -230,6 +230,7 @@ def estimate_odd_cycles(
     each cycle whose lowest-ranked monotone centre is i.
     """
     k = require_odd_k(k)
+    seed, trial = require_integer(seed, "seed"), require_integer(trial, "trial")
     budget = resolve_mode(mode, budget)
     stage = run_ordered_stage(graph, budget, seed, trial)
     n = graph.n

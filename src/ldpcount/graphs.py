@@ -8,6 +8,7 @@ exactly this fixed order, so the order is part of the contract.
 from __future__ import annotations
 
 import heapq
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,13 +48,8 @@ class Graph:
         ``edges`` may be an iterable of pairs or a (k, 2) ndarray; an integer
         array is validated in a few vectorized passes.
         """
-        n = require_integer(n, "node count")
-        if n < 0:
-            raise ValidationError(f"node count must be >= 0, got {n}")
-        pairs = edges if isinstance(edges, np.ndarray) else list(edges)
-        if fault := _first_fault(n, pairs):
-            raise ValidationError(fault[1])
-        return _canonical(n, pairs)
+        n = require_node_count(n)
+        return _canonical(n, edges if isinstance(edges, np.ndarray) else list(edges))
 
     @property
     def m(self) -> int:
@@ -88,23 +84,28 @@ def require_integer(value, what: str) -> int:
     return int(value)
 
 
-def _first_fault(n: int, pairs: list | np.ndarray) -> tuple[int, str] | None:
-    """Index and reason of the first pair that breaks the simple-graph rules.
-
-    Pairs are checked in input order, each for integer ids, then range
-    ``[0, n)``, then a self-loop, then a repeat in either orientation.  An
-    ndarray that passes ``_array_is_simple`` has no fault; any other runs
-    the pair loop on its ``tolist()``, so it reports as its list form does.
-    An ``n`` above NODE_LIMIT raises ResourceLimitError before any check.
-    """
+def require_node_count(n) -> int:
+    """``n`` as an ``int``: the node-count rule that opens every graph constructor."""
+    n = require_integer(n, "node count")
+    if n < 0:
+        raise ValidationError(f"node count must be >= 0, got {n}")
     if n > NODE_LIMIT:
         raise ResourceLimitError(f"n={n} nodes > NODE_LIMIT={NODE_LIMIT}; shrink n")
-    if isinstance(pairs, np.ndarray):
-        if _array_is_simple(n, pairs):
-            return None
-        pairs = pairs.tolist()
+    return n
+
+
+def _first_fault(n: int, pairs: list) -> tuple[int, str] | None:
+    """Index and reason of the first pair that breaks the simple-graph rules.
+
+    In input order, each must be a pair of integer ids in ``[0, n)``, then
+    neither a self-loop nor a repeat in either orientation.
+    """
     seen: set[tuple[int, int]] = set()
-    for index, (u, v) in enumerate(pairs):
+    for index, pair in enumerate(pairs):
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            return index, f"edge {pair!r} is not a pair of node ids"
         if type(u) is not int or type(v) is not int:
             if not (_is_integer(u) and _is_integer(v)):
                 return index, f"non-integer node id in edge ({u!r}, {v!r})"
@@ -120,31 +121,29 @@ def _first_fault(n: int, pairs: list | np.ndarray) -> tuple[int, str] | None:
     return None
 
 
-def _array_is_simple(n: int, pairs: np.ndarray) -> bool:
-    """Whether ``pairs`` is an integer (k, 2) array that breaks no rule.
+def _canonical(n: int, pairs: list | np.ndarray, lines: list | None = None) -> Graph:
+    """The one place a ``Graph`` is made, and the one place pairs are checked.
 
-    Range first, so the pair keys lo*n + hi are distinct exactly when the
-    edges are; the keys are sorted once to find a repeat.
+    An integer (k, 2) array is checked on its pair keys lo*n + hi, sorted once:
+    range first, so the keys are distinct exactly when the edges are, then
+    self-loops, then a repeat.  A list, or an array that fails, runs
+    ``_first_fault`` to name its first fault in input order, on ``lines[i]``
+    for pair i.  The keys of both directions sort into ``adj``.
     """
-    if pairs.dtype.kind not in "iu" or pairs.ndim != 2 or pairs.shape[1] != 2:
-        return False
-    if pairs.size == 0:
-        return True
-    if pairs.min() < 0 or pairs.max() >= n:
-        return False
-    lo, hi = np.sort(pairs.astype(np.int64), axis=1).T
-    keys = np.sort(lo * n + hi)
-    return bool((lo != hi).all() and (keys[1:] != keys[:-1]).all())
-
-
-def _canonical(n: int, pairs) -> Graph:
-    """The one place a ``Graph`` is made, from pairs that pass the rules.
-
-    Pair keys lo*n + hi sort into ``edges``; the keys of both directions
-    sort into ``adj``, every row ascending.
-    """
-    lo, hi = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1).T
-    keys = np.sort(lo * n + hi)
+    keys = None
+    array = isinstance(pairs, np.ndarray)
+    if array and pairs.dtype.kind in "iu" and pairs.shape[1:] == (2,):
+        if not pairs.size or (pairs.min() >= 0 and pairs.max() < n):
+            lo, hi = np.sort(pairs.astype(np.int64), axis=1).T
+            keys = np.sort(lo * n + hi)
+            if (lo == hi).any() or (keys[1:] == keys[:-1]).any():
+                keys = None
+    if keys is None:
+        pairs = pairs.tolist() if array else pairs
+        if fault := _first_fault(n, pairs):
+            line = f"line {lines[fault[0]]}: " if lines else ""
+            raise ValidationError(line + fault[1])
+        return _canonical(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
     arcs = np.sort(np.concatenate([keys, hi * n + lo]))  # both directions
     edges = tuple(zip((keys // n).tolist(), (keys % n).tolist()))  # no keys when n = 0
     targets = (arcs % n).tolist()
@@ -157,8 +156,9 @@ def load_edge_list(source: str | IO[str]) -> Graph:
     """Parse whitespace-separated "u v" lines into a graph.
 
     ``#`` starts a comment that runs to the end of its line, and lines left
-    blank are skipped.  Node ids are mapped verbatim (no compaction); unused
-    ids below the maximum only raise a warning and become isolated nodes.
+    blank are skipped.  Node ids are decimal integers in ASCII digits, mapped
+    verbatim (no compaction); unused ids below the maximum only raise a
+    warning and become isolated nodes.
     """
     text = source if isinstance(source, str) else source.read()
     pairs: list[tuple[int, int]] = []
@@ -170,25 +170,22 @@ def load_edge_list(source: str | IO[str]) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", line=ln)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer node id in {line!r}", line=ln) from None
+        if not all(re.fullmatch(r"[+-]?[0-9]+", p) for p in parts):
+            raise ParseError(f"non-integer node id in {line!r}", line=ln)
+        u, v = int(parts[0]), int(parts[1])
         if u < 0 or v < 0:
             raise ParseError(f"negative node id in {line!r}", line=ln)
         pairs.append((u, v))
         lines.append(ln)
-    seen_ids = set(chain.from_iterable(pairs))
-    n = max(seen_ids) + 1 if seen_ids else 0
-    if fault := _first_fault(n, pairs):
-        raise ValidationError(f"line {lines[fault[0]]}: {fault[1]}")
-    if len(seen_ids) < n:
+    n = require_node_count(max(map(max, pairs), default=-1) + 1)
+    graph = _canonical(n, pairs, lines)
+    if unused := sum(not row for row in graph.adj):
         warnings.warn(
-            f"edge list leaves {n - len(seen_ids)} node id(s) below {n - 1} "
+            f"edge list leaves {unused} node id(s) below {n - 1} "
             "unused; they become isolated nodes",
             stacklevel=2,
         )
-    return _canonical(n, pairs)
+    return graph
 
 
 def dump_edge_list(graph: Graph) -> str:
@@ -203,7 +200,7 @@ def gen_er(n: int, p: float, seed: int) -> Graph:
     drawn one row u at a time: memory is O(n + m), but time is still
     O(n^2) draws.
     """
-    n = require_integer(n, "node count")
+    n = require_node_count(n)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
@@ -253,7 +250,7 @@ def gen_ba(n: int, m0: int, seed: int) -> Graph:
     would make, read from the PCG64 raw stream (``_lemire``).  That takes
     every bound below 2**32, so 2*m0*(n - m0) must be too.
     """
-    n = require_integer(n, "node count")
+    n = require_node_count(n)
     m0 = require_integer(m0, "edges per new node")
     if m0 < 1:
         raise ValidationError(f"edges per new node must be >= 1, got {m0}")
@@ -285,7 +282,7 @@ def gen_ktree(n: int, k: int, seed: int) -> Graph:
 
     Degeneracy is exactly k for n >= k+1.
     """
-    n, k = require_integer(n, "node count"), require_integer(k, "k")
+    n, k = require_node_count(n), require_integer(k, "k")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if n <= k:
@@ -302,25 +299,25 @@ def gen_ktree(n: int, k: int, seed: int) -> Graph:
 
 
 def path_graph(n: int) -> Graph:
-    n = require_integer(n, "node count")
+    n = require_node_count(n)
     return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
-    n = require_integer(n, "node count")
+    n = require_node_count(n)
     if n < 3:
         raise ValidationError(f"cycle needs >= 3 nodes, got {n}")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
-    n = require_integer(n, "node count")
+    n = require_node_count(n)
     return Graph.from_edges(n, combinations(range(n), 2))
 
 
 def star_graph(n: int) -> Graph:
     """Star on n nodes: center 0, leaves 1..n-1."""
-    n = require_integer(n, "node count")
+    n = require_node_count(n)
     return Graph.from_edges(n, ((0, i) for i in range(1, n)))
 
 
@@ -380,7 +377,7 @@ def require_permutation(phi, n: int) -> np.ndarray:
 
 
 def relabel(graph: Graph, phi) -> Graph:
-    """Rename node i to phi(i): an isomorphic graph, built without validation."""
+    """Rename node i to phi(i): an isomorphic graph."""
     return _canonical(graph.n, require_permutation(phi, graph.n)[edge_array(graph)])
 
 

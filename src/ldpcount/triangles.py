@@ -11,7 +11,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, require_integer
 from .mechanisms import (
     STAGE_COUNT,
     ObfuscatedGraph,
@@ -59,6 +59,7 @@ def estimate_triangles(
     In no-noise mode the result equals the exact triangle count: every
     triangle {a < b < c} is charged to its middle rank exactly once.
     """
+    seed, trial = require_integer(seed, "seed"), require_integer(trial, "trial")
     budget = resolve_mode(mode, budget)
     stage = run_ordered_stage(graph, budget, seed, trial)
     n = graph.n

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ldpcount import derive_seed, experiments, mechanisms, oracles, substream
@@ -275,6 +276,19 @@ def test_huge_node_id_exit_2(tmp_path, capsys, big):
     code, out, err = run_cli(capsys, "stats", "--graph", str(path))
     assert code == 2
     assert err == f"error: n={big + 1} nodes > NODE_LIMIT=134217728; shrink n\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("gen", ["er:200000000:0.1", "ba:200000000:3", "ktree:200000000:2"])
+def test_generator_above_node_limit_exit_2(monkeypatch, capsys, gen):
+    # gen_er once drew a 1.6 GB first row before the limit refused the graph
+    def no_draws(seed):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    code, out, err = run_cli(capsys, "stats", "--gen", gen)
+    assert code == 2
+    assert err == "error: n=200000000 nodes > NODE_LIMIT=134217728; shrink n\n"
     assert out == ""
 
 

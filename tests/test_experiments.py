@@ -14,6 +14,7 @@ from ldpcount import (
     derive_seed,
     error_scaling,
     estimate_odd_cycles,
+    estimate_triangles,
     gen_ba,
     make_graph,
     run_trials,
@@ -82,6 +83,36 @@ def _config(**kw):
 def test_config_and_study_counts_must_be_integers(call, what):
     with pytest.raises(ValidationError, match=f"{what} must be an integer"):
         call()
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: _config(trials=0), "trials"),
+    (lambda: _config(threads=0), "threads"),
+    (lambda: verify_bounds(path_graph(4), 0, 1.0, 0), "orderings"),
+], ids=["trials", "threads", "orderings"])
+def test_config_and_study_counts_must_be_positive(call, what):
+    with pytest.raises(ValidationError, match=f"^{what} must be >= 1, got 0$"):
+        call()
+
+
+@pytest.mark.parametrize("mode", ["noisy", "no-noise"])
+@pytest.mark.parametrize("estimate", [
+    lambda g, budget, seed, mode, trial: estimate_triangles(
+        g, budget, seed, mode, trial=trial),
+    lambda g, budget, seed, mode, trial: estimate_odd_cycles(
+        g, 5, budget, seed, mode, trial=trial),
+], ids=["triangles", "cycles"])
+def test_seed_and_trial_follow_the_integer_rule(estimate, mode):
+    # a numpy seed used to stay in the report, which json.dumps then refused
+    g, budget = cycle_graph(5), BUDGET if mode == "noisy" else None
+    want = json.dumps(estimate(g, budget, 3, mode, 1).to_json_dict())
+    got = estimate(g, budget, np.int64(3), mode, np.int64(1))
+    assert json.dumps(got.to_json_dict()) == want and type(got.seed) is int
+    for bad in (3.5, True):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            estimate(g, budget, bad, mode, 1)
+        with pytest.raises(ValidationError, match="trial must be an integer"):
+            estimate(g, budget, 3, mode, bad)
 
 
 def test_numpy_integer_k_gives_a_json_report():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ldpcount import (
     Graph,
+    graphs,
     ParseError,
     ResourceLimitError,
     ValidationError,
@@ -72,6 +73,12 @@ def test_load_malformed_reports_line_number():
         load_edge_list("a b")
     with pytest.raises(ParseError, match="negative"):
         load_edge_list("-1 2")
+    # int() would read these as 10 and 3
+    with pytest.raises(ParseError, match="line 2"):
+        load_edge_list("0 1\n1_0 2")
+    with pytest.raises(ParseError, match="line 3"):
+        load_edge_list("0 1\n\n\u0663 1")
+    assert load_edge_list("+0 1\n01 2") == path_graph(3)
 
 
 def test_load_gap_warns_not_errors():
@@ -113,8 +120,41 @@ def test_node_limit_refused_before_any_array_of_n():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: Graph.from_edges(n, [(0, n - 1)]),
+        lambda n: load_edge_list(f"0 1\n1 {n - 1}\n"),
+        lambda n: gen_er(n, 0.5, 1),
+        lambda n: gen_ba(n, 3, 1),
+        lambda n: gen_ktree(n, 2, 1),
+        lambda n: path_graph(n),
+        lambda n: cycle_graph(n),
+        lambda n: complete_graph(n),
+        lambda n: star_graph(n),
+    ],
+    ids=[
+        "from_edges", "load_edge_list", "gen_er", "gen_ba", "gen_ktree", "path",
+        "cycle", "complete", "star",
+    ],
+)
+def test_every_constructor_refuses_n_above_node_limit_first(monkeypatch, build):
+    def no_draws(seed):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(graphs, "NODE_LIMIT", 10)
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="^n=2000 nodes > NODE_LIMIT=10;"):
+            build(2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**14  # a list of n pairs takes about 2**18 bytes
 FAULTS = [
     (3, [(0, 1), (2, 2), (0, 5)], "self-loop at node 2"),
+    (3, [(0, 1), (1, 1), (2, 2)], "self-loop at node 1"),  # every id in range
     (3, [(0, 5), (1, 1)], r"edge \(0, 5\) out of range for n=3"),
     # 1*3 + 2 == 0*3 + 5: the sort key alone would take this for (1, 2)
     (3, [(1, 2), (0, 5)], r"edge \(0, 5\) out of range for n=3"),
@@ -124,14 +164,22 @@ FAULTS = [
     (0, [(0, 1)], r"edge \(0, 1\) out of range for n=0"),
 ]
 FAULT_IDS = [
-    "self-loop", "range", "key-collision", "duplicate", "flipped", "negative", "n0"
+    "self-loop", "loop-in-range", "range", "key-collision", "duplicate", "flipped",
+    "negative", "n0",
 ]
 
 
 @pytest.mark.parametrize(
     "n, pairs, message",
-    [*FAULTS, (3, [(0, 1), ("0", 5)], r"non-integer node id in edge \('0', 5\)")],
-    ids=[*FAULT_IDS, "str"],
+    [
+        *FAULTS,
+        (3, [(0, 1), ("0", 5)], r"non-integer node id in edge \('0', 5\)"),
+        # these raised a bare TypeError or ValueError from unpacking
+        (4, [1, 2], "edge 1 is not a pair of node ids"),
+        (4, [(0, 1), (1, 2, 3)], r"edge \(1, 2, 3\) is not a pair of node ids"),
+        (4, [(0,), (1, 1)], r"edge \(0,\) is not a pair of node ids"),
+    ],
+    ids=[*FAULT_IDS, "str", "flat", "triple", "single"],
 )
 def test_from_edges_reports_the_first_fault_in_input_order(n, pairs, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
@@ -139,7 +187,15 @@ def test_from_edges_reports_the_first_fault_in_input_order(n, pairs, message):
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32])
-@pytest.mark.parametrize("n, pairs, message", FAULTS, ids=FAULT_IDS)
+@pytest.mark.parametrize(
+    "n, pairs, message",
+    [
+        *FAULTS,
+        (4, [1, 2, 3], "edge 1 is not a pair of node ids"),
+        (4, [(0, 1, 2), (1, 2, 3)], r"edge \[0, 1, 2\] is not a pair of node ids"),
+    ],
+    ids=[*FAULT_IDS, "flat", "rows-of-3"],
+)
 def test_from_edges_array_reports_like_its_list_form(n, pairs, message, dtype):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         Graph.from_edges(n, np.array(pairs, dtype=dtype))
@@ -200,6 +256,22 @@ def test_from_edges_accepts_python_and_numpy_integers():
 )
 def test_counts_must_be_integers(build):
     with pytest.raises(ValidationError, match="must be an integer, got"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: gen_ba(10, 0, 1), "edges per new node must be >= 1, got 0"),
+        (lambda: gen_ktree(10, 0, 1), "k must be >= 1, got 0"),
+        (lambda: gen_ktree(3, 3, 1), "need n > k, got n=3, k=3"),
+        (lambda: cycle_graph(2), "cycle needs >= 3 nodes, got 2"),
+        (lambda: path_graph(-1), "node count must be >= 0, got -1"),
+    ],
+    ids=["ba-m0", "ktree-k", "ktree-n", "cycle-n", "path-n"],
+)
+def test_generator_shapes_out_of_range_refused(build, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
         build()
 
 
@@ -293,11 +365,16 @@ def test_gen_ba_refuses_bounds_from_2_32_before_drawing(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     for n, m0 in [(2**31 + 1, 1), (2**30 + 2, 2), (2**31 + 1, 2**31), (2**40, 3)]:
-        assert 2 * m0 * (n - m0) >= 2**32
+        assert 2 * m0 * (n - m0) >= 2**32 and n > NODE_LIMIT
+        with pytest.raises(ResourceLimitError, match="NODE_LIMIT"):
+            gen_ba(n, m0, seed=0)
+    # at most NODE_LIMIT nodes, the bound binds from m0 = 16
+    for n, m0 in [(2**27, 2**25), (2**26 + 64, 64)]:
+        assert 2 * m0 * (n - m0) >= 2**32 and n <= NODE_LIMIT
         with pytest.raises(ValidationError, match=r"2\*\*32"):
             gen_ba(n, m0, seed=0)
     with pytest.raises(AssertionError, match="drew"):  # just inside the bound
-        gen_ba(2**31, 1, seed=0)
+        gen_ba(2**27, 16, seed=0)
 
 
 def test_gen_ktree_degeneracy_exact():
