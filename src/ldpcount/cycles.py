@@ -191,7 +191,7 @@ def user_cycle_estimate(
     without it the call allocates its own.
     """
     k = require_odd_k(k)
-    below, above = split_forks(tuple(projected_row), i)
+    below, above = split_forks(projected_row, i)
     fork_count = len(below) * len(above)
     if fork_count == 0:
         return 0.0

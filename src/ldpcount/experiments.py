@@ -80,6 +80,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValidationError(f"task must be one of {TASKS}, got {self.task!r}")
+        require_integer(self.seed, "seed")
         if require_integer(self.trials, "trials") < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if (self.graph_path is None) == (self.gen is None):

@@ -1,4 +1,4 @@
-"""Simple undirected graphs: adjacency structure, file I/O, generators.
+"""Simple undirected graphs: edge and CSR arrays, file I/O, generators.
 
 Node ids are 0-based contiguous integers.  Neighbor lists are kept sorted
 ascending by node id; degree-cap projection downstream truncates against
@@ -11,8 +11,7 @@ import heapq
 import re
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from numbers import Integral
 from typing import IO, Iterable, Iterator
 
@@ -21,23 +20,27 @@ import numpy as np
 from .documents import Document
 from .errors import ParseError, ResourceLimitError, ValidationError
 
-# At about 31 bytes per node of an edgeless build, the 4 GiB of
-# mechanisms.DENSE_BYTES_LIMIT; the pair keys lo*n + hi stay far below 2**63.
-NODE_LIMIT = 4 * 2**30 // 32
+# At 16 bytes per node of an edgeless build (tracemalloc), half the 4 GiB of
+# mechanisms.DENSE_BYTES_LIMIT; ids fit int32, pair keys lo*n + hi 2**54.
+NODE_LIMIT = 2**27
+# _canonical peaks at 80 bytes per edge over its int64 input, generators at
+# 112-136 (tracemalloc); at 128, the same 4 GiB, and 2*EDGE_LIMIT < 2**32.
+EDGE_LIMIT = 4 * 2**30 // 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable simple undirected graph on nodes ``0..n-1``.
+    """Immutable simple undirected graph on nodes ``0..n-1``, in read-only arrays.
 
-    ``edges`` holds each edge once as ``(u, v)`` with ``u < v``, sorted
-    lexicographically.  ``adj`` holds per-node neighbor lists sorted
-    ascending.  Instances are safe to share across threads.
+    ``edges`` (m x 2, int32) holds each edge once as (u, v), u < v, sorted;
+    ``indptr`` (int64) and ``indices`` (int32) are CSR rows, each ascending.
+    Safe to share across threads; compared by (n, edges); not hashable.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
-    adj: tuple[tuple[int, ...], ...]
+    edges: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @classmethod
     def from_edges(
@@ -51,25 +54,23 @@ class Graph:
         n = require_node_count(n)
         return _canonical(n, edges if isinstance(edges, np.ndarray) else list(edges))
 
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edges, other.edges)
+
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, i: int) -> int:
-        return len(self.adj[i])
-
-    @cached_property
+    @property
     def degrees(self) -> np.ndarray:
-        d = np.array([len(a) for a in self.adj], dtype=np.int64)
-        d.flags.writeable = False
-        return d
+        return np.diff(self.indptr)
 
-    @cached_property
-    def adj_sets(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(a) for a in self.adj)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj_sets[u]
+    def row(self, i: int) -> np.ndarray:
+        """Node i's neighbors, ascending: a read-only view of ``indices``."""
+        i = range(self.n)[i]  # a sequence index: -1 is the last node
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
 
 def _is_integer(x) -> bool:
@@ -92,6 +93,12 @@ def require_node_count(n) -> int:
     if n > NODE_LIMIT:
         raise ResourceLimitError(f"n={n} nodes > NODE_LIMIT={NODE_LIMIT}; shrink n")
     return n
+
+
+def require_edge_count(m: int) -> None:
+    """Refuse more than EDGE_LIMIT edges: the rule generators apply before drawing."""
+    if m > EDGE_LIMIT:
+        raise ResourceLimitError(f"m={m} edges > EDGE_LIMIT={EDGE_LIMIT}; shrink n")
 
 
 def _first_fault(n: int, pairs: list) -> tuple[int, str] | None:
@@ -128,7 +135,7 @@ def _canonical(n: int, pairs: list | np.ndarray, lines: list | None = None) -> G
     range first, so the keys are distinct exactly when the edges are, then
     self-loops, then a repeat.  A list, or an array that fails, runs
     ``_first_fault`` to name its first fault in input order, on ``lines[i]``
-    for pair i.  The keys of both directions sort into ``adj``.
+    for pair i.  The keys give ``edges``, both directions' keys the CSR rows.
     """
     keys = None
     array = isinstance(pairs, np.ndarray)
@@ -145,11 +152,12 @@ def _canonical(n: int, pairs: list | np.ndarray, lines: list | None = None) -> G
             raise ValidationError(line + fault[1])
         return _canonical(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
     arcs = np.sort(np.concatenate([keys, hi * n + lo]))  # both directions
-    edges = tuple(zip((keys // n).tolist(), (keys % n).tolist()))  # no keys when n = 0
-    targets = (arcs % n).tolist()
-    stops = np.cumsum(np.bincount(arcs // n, minlength=n)).tolist()
-    adj = tuple(tuple(targets[a:b]) for a, b in zip([0, *stops], stops))
-    return Graph(n=n, edges=edges, adj=adj)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(arcs // n, minlength=n))])
+    edges = np.column_stack(np.divmod(keys, n)).astype(np.int32)
+    indices = (arcs % n).astype(np.int32)
+    for a in (edges, indptr, indices):
+        a.flags.writeable = False
+    return Graph(n=n, edges=edges, indptr=indptr, indices=indices)
 
 
 def load_edge_list(source: str | IO[str]) -> Graph:
@@ -179,7 +187,7 @@ def load_edge_list(source: str | IO[str]) -> Graph:
         lines.append(ln)
     n = require_node_count(max(map(max, pairs), default=-1) + 1)
     graph = _canonical(n, pairs, lines)
-    if unused := sum(not row for row in graph.adj):
+    if unused := int(np.count_nonzero(graph.degrees == 0)):
         warnings.warn(
             f"edge list leaves {unused} node id(s) below {n - 1} "
             "unused; they become isolated nodes",
@@ -190,7 +198,7 @@ def load_edge_list(source: str | IO[str]) -> Graph:
 
 def dump_edge_list(graph: Graph) -> str:
     """Serialize to the same text format, edges as "u v" with u < v, sorted."""
-    return "".join(f"{u} {v}\n" for u, v in graph.edges)
+    return "".join(f"{u} {v}\n" for u, v in graph.edges.tolist())
 
 
 def gen_er(n: int, p: float, seed: int) -> Graph:
@@ -198,11 +206,13 @@ def gen_er(n: int, p: float, seed: int) -> Graph:
 
     Pairs (u, v), u < v, take one uniform draw each in row-major order,
     drawn one row u at a time: memory is O(n + m), but time is still
-    O(n^2) draws.
+    O(n^2) draws.  The edge guard checks the mean n(n-1)p/2; by Bernstein, a draw
+    tops it by 7*sqrt(mean) edges (0.12% at EDGE_LIMIT) with probability < 1e-10.
     """
     n = require_node_count(n)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"edge probability must be in [0, 1], got {p}")
+    require_edge_count(round(n * (n - 1) / 2 * p))
     rng = np.random.default_rng(seed)
     kept = [np.flatnonzero(rng.random(n - 1 - u) < p) + (u + 1) for u in range(n - 1)]
     rows = np.repeat(np.arange(len(kept), dtype=np.int64), [v.size for v in kept])
@@ -248,7 +258,7 @@ def gen_ba(n: int, m0: int, seed: int) -> Graph:
     Each target is drawn uniformly from ``repeated``, which lists every
     edge end so far, by the draw ``Generator.integers(len(repeated))``
     would make, read from the PCG64 raw stream (``_lemire``).  That takes
-    every bound below 2**32, so 2*m0*(n - m0) must be too.
+    every bound below 2**32: EDGE_LIMIT keeps 2*m0*(n - m0) below it.
     """
     n = require_node_count(n)
     m0 = require_integer(m0, "edges per new node")
@@ -256,10 +266,7 @@ def gen_ba(n: int, m0: int, seed: int) -> Graph:
         raise ValidationError(f"edges per new node must be >= 1, got {m0}")
     if n <= m0:
         raise ValidationError(f"need n > m0, got n={n}, m0={m0}")
-    if 2 * m0 * (n - m0) >= 2**32:
-        raise ValidationError(
-            f"need 2*m0*(n - m0) < 2**32 for 32-bit draws, got n={n}, m0={m0}"
-        )
+    require_edge_count(m0 * (n - m0))
     halves = _raw_halves(np.random.default_rng(seed).bit_generator)
     repeated: list[int] = [0] * m0 + list(range(1, m0 + 1))
     for source in range(m0 + 1, n):
@@ -287,6 +294,7 @@ def gen_ktree(n: int, k: int, seed: int) -> Graph:
         raise ValidationError(f"k must be >= 1, got {k}")
     if n <= k:
         raise ValidationError(f"need n > k, got n={n}, k={k}")
+    require_edge_count(k * (k + 1) // 2 + k * (n - k - 1))  # a clique, then k per node
     rng = np.random.default_rng(seed)
     edges = list(combinations(range(k + 1), 2))
     cliques = [tuple(c) for c in combinations(range(k + 1), k)]
@@ -312,6 +320,7 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     n = require_node_count(n)
+    require_edge_count(n * (n - 1) // 2)
     return Graph.from_edges(n, combinations(range(n), 2))
 
 
@@ -336,7 +345,7 @@ def degeneracy(graph: Graph) -> tuple[int, list[int]]:
     is deterministic.
     """
     n = graph.n
-    deg = [graph.degree(i) for i in range(n)]
+    deg = graph.degrees.tolist()
     heap = [(d, i) for i, d in enumerate(deg)]
     heapq.heapify(heap)
     removed = [False] * n
@@ -349,17 +358,11 @@ def degeneracy(graph: Graph) -> tuple[int, list[int]]:
         removed[u] = True
         order.append(u)
         delta = max(delta, d)
-        for v in graph.adj[u]:
+        for v in graph.row(u).tolist():  # each row is read once, at its removal
             if not removed[v]:
                 deg[v] -= 1
                 heapq.heappush(heap, (deg[v], v))
     return delta, order
-
-
-def edge_array(graph: Graph) -> np.ndarray:
-    """``graph.edges`` as an (m, 2) int64 array, same order."""
-    flat = chain.from_iterable(graph.edges)
-    return np.fromiter(flat, dtype=np.int64, count=2 * graph.m).reshape(-1, 2)
 
 
 def require_permutation(phi, n: int) -> np.ndarray:
@@ -378,7 +381,7 @@ def require_permutation(phi, n: int) -> np.ndarray:
 
 def relabel(graph: Graph, phi) -> Graph:
     """Rename node i to phi(i): an isomorphic graph."""
-    return _canonical(graph.n, require_permutation(phi, graph.n)[edge_array(graph)])
+    return _canonical(graph.n, require_permutation(phi, graph.n)[graph.edges])
 
 
 @dataclass(frozen=True)
@@ -404,7 +407,7 @@ def graph_stats(graph: Graph) -> GraphStats:
     """Exact size, degree, degeneracy and edge-minimum-degree statistics."""
     d = graph.degrees
     delta, _ = degeneracy(graph)
-    chiba = int(sum(min(int(d[u]), int(d[v])) for u, v in graph.edges))
+    chiba = int(np.minimum(d[graph.edges[:, 0]], d[graph.edges[:, 1]]).sum())
     return GraphStats(
         n=graph.n,
         m=graph.m,

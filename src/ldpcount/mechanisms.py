@@ -22,7 +22,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ResourceLimitError, ValidationError
-from .graphs import Graph, edge_array
+from .graphs import Graph
 
 INF = math.inf
 
@@ -238,8 +238,7 @@ def assemble_obfuscated(graph: Graph, eps: float, u_rows=None) -> ObfuscatedGrap
             f"n={n} needs {9 * n * n} dense bytes > DENSE_BYTES_LIMIT; shrink n"
         )
     bits = np.zeros((n, n), dtype=np.uint8)
-    edges = edge_array(graph)
-    bits[edges[:, 1], edges[:, 0]] = 1
+    bits[graph.edges[:, 1], graph.edges[:, 0]] = 1
     if eps != INF:
         _randomize_lower(bits, eps, iter(() if u_rows is None else u_rows))
     _mirror_lower(bits)
@@ -290,9 +289,8 @@ def _mirror_lower(bits: np.ndarray) -> None:
 
 
 def project_mu(neighbors, cap: int):
-    """Keep only the first ``cap`` neighbors in the fixed (ascending) order."""
-    cap = max(int(cap), 0)
-    return tuple(neighbors[:cap])
+    """The first ``cap`` neighbors in the fixed (ascending) order: a slice."""
+    return neighbors[: max(int(cap), 0)]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import numpy as np
+
 from .documents import Document
 from .errors import ResourceLimitError, ValidationError
 from .graphs import Graph, require_integer
@@ -20,14 +22,12 @@ MAX_CYCLE_LENGTH = 9
 
 def count_triangles(graph: Graph) -> int:
     """Number of triangles, one count per vertex set."""
-    total = 0
-    for u, v in graph.edges:
-        # each triangle {a<b<c} is charged to its edge (a, b) via w=c
-        small, other = graph.adj[u], graph.adj_sets[v]
-        if len(graph.adj[v]) < len(small):
-            small, other = graph.adj[v], graph.adj_sets[u]
-        total += sum(1 for w in small if w > v and w in other)
-    return total
+    u, v = graph.edges.T  # sorted by u: each node's higher neighbors are a run of v
+    heads = v.tolist()
+    ends = np.searchsorted(u, np.arange(graph.n + 1)).tolist()
+    above = [set(heads[a:b]) for a, b in zip(ends, ends[1:])]
+    # each triangle {a<b<c} is counted once, at (a, b): c is above both
+    return sum(len(s & above[b]) for s in above for b in s)
 
 
 def _simple_paths(graph: Graph, edges: int, rising: bool) -> Iterator[list[int]]:
@@ -39,7 +39,7 @@ def _simple_paths(graph: Graph, edges: int, rising: bool) -> Iterator[list[int]]
     raises ResourceLimitError.
     """
     steps = 0
-    adj = graph.adj
+    adj = [graph.row(u).tolist() for u in range(graph.n)]  # once per call
     on_path = bytearray(graph.n)
     for s in range(graph.n):
         path = [s]
@@ -83,9 +83,9 @@ def enumerate_cycles(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
         raise ResourceLimitError(
             f"cycle length {k} exceeds the desk-scale cap of {MAX_CYCLE_LENGTH}"
         )
-    adj_sets = graph.adj_sets
+    closes = [set(graph.row(u).tolist()) for u in range(graph.n)]
     paths = _simple_paths(graph, k - 1, rising=True)
-    return (tuple(p) for p in paths if p[1] < p[-1] and p[0] in adj_sets[p[-1]])
+    return (tuple(p) for p in paths if p[1] < p[-1] and p[0] in closes[p[-1]])
 
 
 def count_cycles(graph: Graph, k: int) -> int:
@@ -107,11 +107,8 @@ def count_low2stars(graph: Graph) -> int:
 
     Ordering-sensitive by design: node ids must already be the ranks.
     """
-    lower = [0] * graph.n
-    for u, v in graph.edges:
-        lower[max(u, v)] += 1
-    d = graph.degrees
-    return int(sum(lower[i] * (int(d[i]) - 1) for i in range(graph.n)))
+    lower = np.bincount(graph.edges[:, 1], minlength=graph.n)  # u < v: v is the higher
+    return int((lower * (graph.degrees - 1)).sum())
 
 
 def has_monotone_triple(cycle: tuple[int, ...]) -> bool:

@@ -71,9 +71,9 @@ def add_noise(value, scale, u=None):
     return value if value.ndim else float(value)
 
 
-def split_forks(row: tuple[int, ...], i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def split_forks(row: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Split a sorted neighbor row into partners below and above rank i."""
-    cut = bisect_left(row, i)
+    cut = bisect_left(row, i)  # on a short row, faster than np.searchsorted
     return row[:cut], row[cut:]
 
 
@@ -102,7 +102,7 @@ class OrderedStage:
 
     obf: ObfuscatedGraph
     clipped_degrees: np.ndarray  # real-valued, per rank
-    projected: tuple[tuple[int, ...], ...]
+    projected: tuple[np.ndarray, ...]  # per rank: intp views
     clipped_users: int
 
     def report(self, per_user, budget, seed, mode, **cycle_fields) -> EstimateReport:
@@ -149,9 +149,12 @@ def run_ordered_stage(
 
     d_hat = clipped_degree(noisy_by_rank, budget.eps0, n, budget.zeta)
     floors = np.floor(d_hat)
+    indices = reordered.indices.astype(np.intp)  # fork sums index intp fastest
+    ends = reordered.indptr.tolist()
+    rows = (indices[a:b] for a, b in zip(ends, ends[1:]))
     return OrderedStage(
         obf=obf,
         clipped_degrees=d_hat,
-        projected=tuple(project_mu(reordered.adj[i], floors[i]) for i in range(n)),
+        projected=tuple(map(project_mu, rows, floors.tolist())),
         clipped_users=int(np.sum(floors < reordered.degrees)),
     )

@@ -7,8 +7,6 @@ adds the per-user fork sums and their noise scale.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 import numpy as np
 
 from .graphs import Graph, require_integer
@@ -24,16 +22,16 @@ from .protocol import (
     add_noise,
     resolve_mode,
     run_ordered_stage,
+    split_forks,
 )
 
 
 def user_triangle_estimate(i: int, projected_row, obf: ObfuscatedGraph) -> float:
     """Sum of unbiased entries over fork pairs (j, k) with j < i < k."""
-    cut = bisect_left(projected_row, i)  # split_forks: below i, then above
-    if cut == 0 or cut == len(projected_row):
+    below, above = split_forks(projected_row, i)
+    if not (len(below) and len(above)):
         return 0.0
-    row = np.array(projected_row, dtype=np.intp)
-    return float(obf.unbiased[row[:cut, None], row[cut:]].sum())
+    return float(obf.unbiased[below[:, None], above].sum())
 
 
 def user_triangle_noise(t_hat, d_hat, eps1: float, eps2: float, u=None):

@@ -14,8 +14,9 @@ server-layer references (``_assemble_bits_lower_plus_transpose``,
 direct forms that the library's panel mirror, array relabel and fork sums
 reproduce bit for bit; ``_assemble_bits_lower_plus_transpose`` is also the
 per-row RR loop that the library's block-wise flips reproduce.
-``_graph_from_edge_set`` is the set-and-lists build whose graphs the
-library's one sorted-key constructor reproduces.
+``_graph_from_edge_set`` is the set-and-lists build whose arrays the
+library's one sorted-key constructor reproduces (``assert_same_graph``), and
+``has_edge`` reads an edge off a row.
 ``_substream_key_route`` builds each stream the way numpy documents,
 ``Philox(key=...)``, whose state and draws the library's entropy-free
 ``substream`` reproduces bit for bit.  ``_gen_ba_integers`` is preferential
@@ -46,16 +47,21 @@ def cyclic_arrangements(vertices):
             yield (first, *perm)
 
 
+def has_edge(graph: Graph, u: int, v: int) -> bool:
+    """Whether {u, v} is an edge: v appears in u's row."""
+    return v in graph.row(u).tolist()
+
+
 def _is_cycle(graph: Graph, seq) -> bool:
     k = len(seq)
-    return all(graph.has_edge(seq[t], seq[(t + 1) % k]) for t in range(k))
+    return all(has_edge(graph, seq[t], seq[(t + 1) % k]) for t in range(k))
 
 
 def brute_count_triangles(graph: Graph) -> int:
     return sum(
         1
         for a, b, c in combinations(range(graph.n), 3)
-        if graph.has_edge(a, b) and graph.has_edge(b, c) and graph.has_edge(a, c)
+        if has_edge(graph, a, b) and has_edge(graph, b, c) and has_edge(graph, a, c)
     )
 
 
@@ -72,7 +78,7 @@ def brute_count_paths(graph: Graph, k: int) -> int:
         for perm in permutations(subset):
             if perm[0] > perm[-1]:
                 continue  # endpoint-unordered: count each path once
-            if all(graph.has_edge(perm[t], perm[t + 1]) for t in range(k)):
+            if all(has_edge(graph, perm[t], perm[t + 1]) for t in range(k)):
                 total += 1
     return total
 
@@ -199,11 +205,27 @@ def _graph_from_edge_set(n: int, edges) -> Graph:
     for u, v in canon:
         neighbors[u].append(v)
         neighbors[v].append(u)
-    return Graph(
-        n=n,
-        edges=tuple(sorted(canon)),
-        adj=tuple(tuple(sorted(a)) for a in neighbors),
+    indptr = [0]
+    for a in neighbors:
+        indptr.append(indptr[-1] + len(a))
+    arrays = (
+        np.array(sorted(canon), dtype=np.int32).reshape(-1, 2),
+        np.array(indptr, dtype=np.int64),
+        np.array([v for a in neighbors for v in sorted(a)], dtype=np.int32),
     )
+    for a in arrays:
+        a.flags.writeable = False
+    return Graph(n, *arrays)
+
+
+def assert_same_graph(got: Graph, want: Graph) -> None:
+    """``got`` equals ``want`` in every field: same values, dtypes, read-only."""
+    assert type(got.n) is int and got.n == want.n
+    for name in ("edges", "indptr", "indices"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+        assert not a.flags.writeable, name
 
 
 def _relabel_from_edges(graph: Graph, phi) -> Graph:

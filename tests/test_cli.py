@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -289,6 +290,28 @@ def test_generator_above_node_limit_exit_2(monkeypatch, capsys, gen):
     code, out, err = run_cli(capsys, "stats", "--gen", gen)
     assert code == 2
     assert err == "error: n=200000000 nodes > NODE_LIMIT=134217728; shrink n\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "gen, m",
+    [
+        ("er:20000:1", 199990000),
+        ("ba:100000000:3", 299999991),
+        ("ktree:100000000:2", 199999997),
+    ],
+)
+def test_generator_above_edge_limit_exit_2(monkeypatch, capsys, gen, m):
+    # er:20000:1 would keep 2e8 edges: tens of GB, then out of memory
+    def no_draws(seed):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "stats", "--gen", gen)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err == f"error: m={m} edges > EDGE_LIMIT=33554432; shrink n\n"
     assert out == ""
 
 

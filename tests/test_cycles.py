@@ -90,20 +90,20 @@ def test_walk_sum_rejects_bad_k():
 def test_c5_graph_counted_exactly_once_total():
     g = cycle_graph(5)
     obf = assemble_obfuscated(g, INF)
-    total = sum(user_cycle_estimate(i, g.adj[i], obf, 5) for i in range(5))
+    total = sum(user_cycle_estimate(i, g.row(i), obf, 5) for i in range(5))
     assert total == 1.0
 
 
 def test_triangle_graph_has_no_5_cycles():
     g = complete_graph(3)
     obf = assemble_obfuscated(g, INF)
-    assert sum(user_cycle_estimate(i, g.adj[i], obf, 5) for i in range(3)) == 0.0
+    assert sum(user_cycle_estimate(i, g.row(i), obf, 5) for i in range(3)) == 0.0
 
 
 def test_petersen_5_cycles_no_noise():
     g = petersen_graph()
     obf = assemble_obfuscated(g, INF)
-    total = sum(user_cycle_estimate(i, g.adj[i], obf, 5) for i in range(10))
+    total = sum(user_cycle_estimate(i, g.row(i), obf, 5) for i in range(10))
     assert total == 12.0
 
 
@@ -122,8 +122,8 @@ def test_grid_route_matches_dfs_on_noisy_entries():
     obf = _noisy_obf(g, 1.0, seed=4)
     ahat = obf.unbiased
     for i in range(g.n):
-        below = [j for j in g.adj[i] if j < i]
-        above = [k for k in g.adj[i] if k > i]
+        below = [j for j in g.row(i) if j < i]
+        above = [k for k in g.row(i) if k > i]
         for j in below:
             for kappa in above:
                 dfs = _admissible_sum_dfs(i, j, kappa, 5, ahat)
@@ -161,7 +161,7 @@ def test_k5_route_matches_per_pair_grid_bit_for_bit(spec, eps1):
     ahat = obf.unbiased
     nonzero = 0
     for i in range(g.n):
-        below, above = split_forks(g.adj[i], i)
+        below, above = split_forks(g.row(i), i)
         want = 0.0
         for j in below:
             for kappa in above:
@@ -169,7 +169,7 @@ def test_k5_route_matches_per_pair_grid_bit_for_bit(spec, eps1):
                 got = user_cycle_estimate(i, (j, kappa), obf, 5)
                 assert got.hex() == pair.hex(), (i, j, kappa)
                 want += pair
-        got = user_cycle_estimate(i, g.adj[i], obf, 5)
+        got = user_cycle_estimate(i, g.row(i), obf, 5)
         assert got.hex() == want.hex(), i
         nonzero += got != 0.0
     assert nonzero > 0
@@ -233,8 +233,8 @@ def test_path_route_matches_dfs_bit_for_bit(spec, noisy, k):
     rows = obf.unbiased.tolist()
     fork_users = nonzero = 0
     for i in range(g.n):
-        below, above = split_forks(g.adj[i], i)
-        fork_users += bool(below and above)
+        below, above = split_forks(g.row(i), i)
+        fork_users += bool(len(below) and len(above))
         dfs_total = 0.0
         for j in below:
             for kappa in above:
@@ -242,7 +242,7 @@ def test_path_route_matches_dfs_bit_for_bit(spec, noisy, k):
                 pair = user_cycle_estimate(i, (j, kappa), obf, k)
                 assert pair.hex() == dfs.hex(), (i, j, kappa)
                 dfs_total += dfs
-        got = user_cycle_estimate(i, g.adj[i], obf, k)
+        got = user_cycle_estimate(i, g.row(i), obf, k)
         assert got.hex() == dfs_total.hex(), i
         nonzero += got != 0.0
     assert 0 < fork_users < g.n  # some users have an empty below or above
@@ -364,8 +364,8 @@ def test_linearity_in_single_unbiased_entry():
     obf = _noisy_obf(g, 1.0, seed=2)
     base = obf.unbiased.copy()
     i = 5
-    below, above = split_forks(g.adj[i], i)
-    assert below and above
+    below, above = split_forks(g.row(i), i)
+    assert len(below) and len(above)
 
     def dfs(matrix):
         s = 0.0

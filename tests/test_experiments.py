@@ -57,6 +57,11 @@ def test_config_validation():
         ExperimentConfig(
             task="triangles", trials=1, seed=0, gen="er:5:0.2", k=5, budget=BUDGET
         )
+    for seed in ("abc", True, 2.0):  # refused here, not later in run_trials
+        with pytest.raises(ValidationError, match="^seed must be an integer, got"):
+            ExperimentConfig(
+                task="triangles", trials=1, seed=seed, gen="er:5:0.2", budget=BUDGET
+            )
 
 
 NO_NOISE_C5 = dict(task="cycles", trials=1, seed=0, gen="er:8:0.5", k=5, mode="no-noise")

@@ -27,23 +27,32 @@ from ldpcount import (
     relabel,
     star_graph,
 )
-from ldpcount.graphs import NODE_LIMIT, _lemire, _raw_halves
+from ldpcount.graphs import EDGE_LIMIT, NODE_LIMIT, _lemire, _raw_halves
 from ldpcount.oracles import count_cycles, count_triangles
 
-from _brute import _gen_ba_integers, _graph_from_edge_set, _relabel_from_edges
+from _brute import (
+    _gen_ba_integers,
+    _graph_from_edge_set,
+    _relabel_from_edges,
+    assert_same_graph,
+    has_edge,
+)
 
 
 def test_load_basic_path():
     g = load_edge_list("0 1\n1 2")
     assert (g.n, g.m) == (3, 2)
-    assert g.adj == ((1,), (0, 2), (1,))
+    assert [g.row(i).tolist() for i in range(3)] == [[1], [0, 2], [1]]
+    assert g.row(-1).tolist() == [1]  # an index, as a sequence takes it
+    with pytest.raises(IndexError):
+        g.row(3)
 
 
 def test_load_comments_and_blanks():
     g = load_edge_list("# a comment\n\n0 1\n  \n# trailing\n1 2\n")
     assert (g.n, g.m) == (3, 2)
     g = load_edge_list("0 1  # note\n")
-    assert g.edges == ((0, 1),)
+    assert g.edges.tolist() == [[0, 1]]
 
 
 def test_load_self_loop_rejected():
@@ -85,7 +94,7 @@ def test_load_gap_warns_not_errors():
     with pytest.warns(UserWarning, match="unused"):
         g = load_edge_list("0 1\n3 4")
     assert g.n == 5
-    assert g.degree(2) == 0
+    assert g.degrees[2] == 0
 
 
 def test_edge_list_round_trip_bit_exact():
@@ -152,6 +161,51 @@ def test_every_constructor_refuses_n_above_node_limit_first(monkeypatch, build):
     finally:
         tracemalloc.stop()
     assert peak < 2**14  # a list of n pairs takes about 2**18 bytes
+
+
+@pytest.mark.parametrize(
+    "build, m",
+    [
+        (lambda: gen_er(2000, 0.5, 1), 999500),
+        (lambda: gen_ba(2000, 3, 1), 5991),
+        (lambda: gen_ktree(2000, 2, 1), 3997),
+        (lambda: complete_graph(2000), 1999000),
+    ],
+    ids=["gen_er", "gen_ba", "gen_ktree", "complete"],
+)
+def test_generators_refuse_m_above_edge_limit_first(monkeypatch, build, m):
+    # gen_er(2000, 1.0) once peaked at 575 MB over 28 s before any guard
+    def no_draws(seed):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(graphs, "EDGE_LIMIT", 100)
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=f"^m={m} edges > EDGE_LIMIT=100;"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**14
+
+
+def test_gen_ba_graph_is_small_read_only_and_sorted():
+    # the tuples of Python ints it replaced held 62 MiB
+    tracemalloc.start()
+    try:
+        g = gen_ba(10**5, 3, seed=1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 8 * 2**20
+    assert (g.edges.dtype, g.indices.dtype, type(g.n)) == (np.int32, np.int32, int)
+    for a in (g.edges, g.indptr, g.indices, g.row(0)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    assert all((np.diff(g.row(i)) > 0).all() for i in range(g.n))
+
+
 FAULTS = [
     (3, [(0, 1), (2, 2), (0, 5)], "self-loop at node 2"),
     (3, [(0, 1), (1, 1), (2, 2)], "self-loop at node 1"),  # every id in range
@@ -221,15 +275,12 @@ def test_from_edges_rejects_non_integer_ids(pairs):
 
 def test_from_edges_accepts_python_and_numpy_integers():
     g = Graph.from_edges(3, [(np.int64(2), np.uint8(0)), (1, np.int32(2))])
-    assert g == Graph.from_edges(3, [(0, 2), (1, 2)])
-    assert all(type(v) is int for e in g.edges for v in e)
-    assert all(type(v) is int for row in g.adj for v in row)
+    assert_same_graph(g, _graph_from_edge_set(3, [(0, 2), (1, 2)]))
     with pytest.raises(ValidationError, match="out of range"):
         Graph.from_edges(3, [(0, 2**70)])  # not an OverflowError
     for dtype in (np.int64, np.int8, np.uint64):
         got = Graph.from_edges(3, np.array([(2, 0), (1, 2)], dtype=dtype))
-        assert got == g
-        assert all(type(v) is int for e in got.edges for v in e)
+        assert_same_graph(got, g)
     empty = np.empty((0, 2), dtype=np.int64)
     assert Graph.from_edges(3, empty) == Graph.from_edges(3, [])
     with pytest.raises(ValidationError, match="out of range"):
@@ -340,10 +391,7 @@ def test_gen_ba_rejects_small_n():
 )
 @pytest.mark.parametrize("seed", [0, *(derive_seed(s, "graph") for s in range(4))])
 def test_gen_ba_matches_the_integers_reference(n, m0, seed):
-    got = gen_ba(n, m0, seed)
-    assert got == _gen_ba_integers(n, m0, seed)
-    assert all(type(v) is int for e in got.edges for v in e)
-    assert all(type(v) is int for row in got.adj for v in row)
+    assert_same_graph(gen_ba(n, m0, seed), _gen_ba_integers(n, m0, seed))
 
 
 @pytest.mark.parametrize("high", [3 * 2**30 + 1, 2**31 + 1, 2**32 - 1, 7, 2])
@@ -368,13 +416,16 @@ def test_gen_ba_refuses_bounds_from_2_32_before_drawing(monkeypatch):
         assert 2 * m0 * (n - m0) >= 2**32 and n > NODE_LIMIT
         with pytest.raises(ResourceLimitError, match="NODE_LIMIT"):
             gen_ba(n, m0, seed=0)
-    # at most NODE_LIMIT nodes, the bound binds from m0 = 16
-    for n, m0 in [(2**27, 2**25), (2**26 + 64, 64)]:
-        assert 2 * m0 * (n - m0) >= 2**32 and n <= NODE_LIMIT
-        with pytest.raises(ValidationError, match=r"2\*\*32"):
+    # at most NODE_LIMIT nodes, the edge limit refuses every draw bound
+    # 2*m0*(n - m0) from 2*EDGE_LIMIT < 2**32 on
+    assert 2 * EDGE_LIMIT < 2**32
+    inside = EDGE_LIMIT // 3 + 3
+    for n, m0 in [(2**27, 2**25), (2**26 + 64, 64), (inside + 1, 3)]:
+        assert m0 * (n - m0) > EDGE_LIMIT and n <= NODE_LIMIT
+        with pytest.raises(ResourceLimitError, match="EDGE_LIMIT"):
             gen_ba(n, m0, seed=0)
-    with pytest.raises(AssertionError, match="drew"):  # just inside the bound
-        gen_ba(2**27, 16, seed=0)
+    with pytest.raises(AssertionError, match="drew"):  # just inside the limit
+        gen_ba(inside, 3, seed=0)
 
 
 def test_gen_ktree_degeneracy_exact():
@@ -429,16 +480,14 @@ ROSTER_IDS = [
 
 @pytest.mark.parametrize("graph", ROSTER, ids=ROSTER_IDS)
 def test_from_edges_matches_the_set_based_reference(graph):
-    assert graph == _graph_from_edge_set(graph.n, graph.edges)
-    assert all(type(v) is int for e in graph.edges for v in e)
+    assert_same_graph(graph, _graph_from_edge_set(graph.n, graph.edges))
     # any order and orientation of the input gives the same graph
     rng = np.random.default_rng(graph.m)
     flips = rng.choice([1, -1], size=graph.m)
     shuffled = [graph.edges[t][:: flips[t]] for t in rng.permutation(graph.m)]
     got = Graph.from_edges(graph.n, shuffled)
-    assert got == graph == _graph_from_edge_set(graph.n, shuffled)
-    assert all(type(v) is int for e in got.edges for v in e)
-    assert all(type(v) is int for row in got.adj for v in row)
+    assert_same_graph(got, _graph_from_edge_set(graph.n, shuffled))
+    assert_same_graph(got, graph)
 
 
 @pytest.mark.parametrize("graph", ROSTER, ids=ROSTER_IDS)
@@ -447,10 +496,8 @@ def test_relabel_is_a_canonical_graph(graph):
     for _ in range(3):
         phi = rng.permutation(graph.n)
         got = relabel(graph, phi)
-        assert got == Graph.from_edges(graph.n, got.edges)
-        assert got == _relabel_from_edges(graph, phi)
-        assert all(type(v) is int for e in got.edges for v in e)
-        assert all(type(v) is int for row in got.adj for v in row)
+        assert_same_graph(got, Graph.from_edges(graph.n, got.edges))
+        assert_same_graph(got, _relabel_from_edges(graph, phi))
     if graph.n >= 2:
         clash = np.arange(graph.n)
         clash[-1] = 0
@@ -465,10 +512,8 @@ def test_relabel_rejects_non_integer_phi():
     for phi in ([0.9, 1.5, 2.2], [2.0, 1.0, 0.0], ["0", "1", "2"], [True, False, True]):
         with pytest.raises(ValidationError, match="must be integers"):
             relabel(path_graph(3), phi)
-    assert relabel(path_graph(3), np.array([2, 1, 0], dtype=np.uint8)).edges == (
-        (0, 1),
-        (1, 2),
-    )
+    got = relabel(path_graph(3), np.array([2, 1, 0], dtype=np.uint8))
+    assert got.edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_graph_stats_examples():
@@ -491,8 +536,7 @@ def test_graph_stats_arboricity_range():
 
 def test_star_graph_shape():
     g = star_graph(5)
-    assert g.degree(0) == 4
-    assert all(g.degree(i) == 1 for i in range(1, 5))
+    assert g.degrees.tolist() == [4, 1, 1, 1, 1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -504,11 +548,11 @@ def test_star_graph_shape():
 def test_generated_graph_invariants(n, p, seed):
     g = gen_er(n, p, seed)
     assert g.m == int(g.degrees.sum()) // 2
-    for u, v in g.edges:
+    for u, v in g.edges.tolist():
         assert u < v
-        assert v in g.adj_sets[u] and u in g.adj_sets[v]
-    for a in g.adj:
-        assert list(a) == sorted(a)
+        assert has_edge(g, u, v) and has_edge(g, v, u)
+    for i in range(g.n):
+        assert (np.diff(g.row(i)) > 0).all()
     s = graph_stats(g)
     assert s.degeneracy <= s.d_max
     assert s.m <= s.degeneracy * s.n

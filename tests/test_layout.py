@@ -22,6 +22,10 @@ Estimate reports are assembled once: only ``protocol.py`` calls
 Graphs are built once: ``Graph`` is instantiated at a single site, the
 canonical builder in ``graphs.py`` that every constructor goes through.
 
+The CSR layout is a decision of one module plus the projection: only
+``graphs.py`` and ``protocol.py`` read a graph's ``indptr`` or ``indices``;
+every other module reads ``edges``, ``degrees`` or ``row(i)``.
+
 Every generator is seeded and built where the determinism contract says:
 ``Philox``, ``Generator``, ``default_rng`` and ``SeedSequence`` are called
 only in ``mechanisms.substream`` and the seeded graph generators, and never
@@ -267,6 +271,34 @@ def test_graph_built_at_one_site():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += graph_constructions(tree, path.stem)
     assert found == ["graphs._canonical"]
+
+
+CSR_READERS_ALLOWED = ["graphs.py", "protocol.py"]
+
+
+def csr_reads(tree: ast.AST) -> list[int]:
+    """Line numbers of reads of an ``indptr`` or ``indices`` attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("indptr", "indices")
+    )
+
+
+def test_finds_csr_read():
+    tree = ast.parse(
+        "a = g.indptr[1]\nb = g.row(0)\nindices = 3\nc = stage.graph.indices\n"
+    )
+    assert csr_reads(tree) == [1, 4]
+
+
+def test_csr_layout_read_only_in_graphs_and_protocol():
+    readers = [
+        path.name
+        for path in MODULES
+        if csr_reads(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    assert readers == CSR_READERS_ALLOWED
 
 
 GENERATOR_MAKERS = {"Philox", "Generator", "default_rng", "SeedSequence"}

@@ -64,21 +64,21 @@ def test_resolve_mode_returns_the_budget_the_run_spends():
 def test_fork_sums_on_triangle():
     tri = complete_graph(3)
     obf = assemble_obfuscated(tri, INF)
-    assert user_triangle_estimate(0, tri.adj[0], obf) == 0.0
-    assert user_triangle_estimate(1, tri.adj[1], obf) == 1.0
-    assert user_triangle_estimate(2, tri.adj[2], obf) == 0.0
+    assert user_triangle_estimate(0, tri.row(0), obf) == 0.0
+    assert user_triangle_estimate(1, tri.row(1), obf) == 1.0
+    assert user_triangle_estimate(2, tri.row(2), obf) == 0.0
 
 
 def test_fork_sums_on_star_all_zero():
     g = star_graph(5)
     obf = assemble_obfuscated(g, INF)
-    assert all(user_triangle_estimate(i, g.adj[i], obf) == 0.0 for i in range(5))
+    assert all(user_triangle_estimate(i, g.row(i), obf) == 0.0 for i in range(5))
 
 
 def test_fork_sums_on_k4_total_is_triangle_count():
     k4 = complete_graph(4)
     obf = assemble_obfuscated(k4, INF)
-    total = sum(user_triangle_estimate(i, k4.adj[i], obf) for i in range(4))
+    total = sum(user_triangle_estimate(i, k4.row(i), obf) for i in range(4))
     assert total == 4.0
 
 
