@@ -13,6 +13,7 @@ import numpy as np
 from .errors import ResourceLimitError, ValidationError
 from .graphs import Graph, require_integer
 from .mechanisms import (
+    INF,
     STAGE_COUNT,
     ObfuscatedGraph,
     PrivacyBudget,
@@ -230,7 +231,6 @@ def estimate_odd_cycles(
     each cycle whose lowest-ranked monotone centre is i.
     """
     k = require_odd_k(k)
-    seed, trial = require_integer(seed, "seed"), require_integer(trial, "trial")
     budget = resolve_mode(mode, budget)
     stage = run_ordered_stage(graph, budget, seed, trial)
     n = graph.n
@@ -244,11 +244,9 @@ def estimate_odd_cycles(
             for i, row in enumerate(stage.projected)
         ]
     )
-    if mode == "noisy":
-        u = np.array(
-            [substream(seed, trial, STAGE_COUNT, i).random() for i in range(n)]
-        )
+    if budget.eps2 != INF:  # at eps2=inf the count noise is the identity
+        u = [substream(stage.seed, stage.trial, STAGE_COUNT, i).random() for i in range(n)]
         per_user = user_cycle_noise(
             per_user, stage.clipped_degrees, walk_sum, budget.eps1, budget.eps2, u
         )
-    return stage.report(per_user, budget, seed, mode, k=k, walk_sum=walk_sum)
+    return stage.report(per_user, mode, k=k, walk_sum=walk_sum)

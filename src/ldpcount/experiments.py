@@ -203,6 +203,7 @@ def verify_bounds(graph: Graph, orderings: int, eps0: float, seed: int) -> Bound
     general and is only reported.
     """
     orderings = require_integer(orderings, "orderings")
+    seed = require_integer(seed, "seed")
     if orderings < 1:
         raise ValidationError(f"orderings must be >= 1, got {orderings}")
     stats = graph_stats(graph)

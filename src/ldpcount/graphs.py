@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import re
+from array import array
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -20,12 +21,14 @@ import numpy as np
 from .documents import Document
 from .errors import ParseError, ResourceLimitError, ValidationError
 
-# At 16 bytes per node of an edgeless build (tracemalloc), half the 4 GiB of
-# mechanisms.DENSE_BYTES_LIMIT; ids fit int32, pair keys lo*n + hi 2**54.
-NODE_LIMIT = 2**27
-# _canonical peaks at 80 bytes per edge over its int64 input, generators at
-# 112-136 (tracemalloc); at 128, the same 4 GiB, and 2*EDGE_LIMIT < 2**32.
-EDGE_LIMIT = 4 * 2**30 // 128
+# One memory budget prices NODE_LIMIT, EDGE_LIMIT and mechanisms.DENSE_BYTES_LIMIT.
+MEMORY_BUDGET = 4 * 2**30
+# At 16 bytes per node of an edgeless build (tracemalloc), half the budget;
+# ids fit int32, pair keys lo*n + hi 2**54.
+NODE_LIMIT = MEMORY_BUDGET // 2 // 16
+# _canonical peaks at 80 bytes per edge over its int64 input, gen_ba at 92
+# and gen_er at 112 (tracemalloc); at 128, the budget, and 2*EDGE_LIMIT < 2**32.
+EDGE_LIMIT = MEMORY_BUDGET // 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,15 +141,15 @@ def _canonical(n: int, pairs: list | np.ndarray, lines: list | None = None) -> G
     for pair i.  The keys give ``edges``, both directions' keys the CSR rows.
     """
     keys = None
-    array = isinstance(pairs, np.ndarray)
-    if array and pairs.dtype.kind in "iu" and pairs.shape[1:] == (2,):
+    is_array = isinstance(pairs, np.ndarray)
+    if is_array and pairs.dtype.kind in "iu" and pairs.shape[1:] == (2,):
         if not pairs.size or (pairs.min() >= 0 and pairs.max() < n):
             lo, hi = np.sort(pairs.astype(np.int64), axis=1).T
             keys = np.sort(lo * n + hi)
             if (lo == hi).any() or (keys[1:] == keys[:-1]).any():
                 keys = None
     if keys is None:
-        pairs = pairs.tolist() if array else pairs
+        pairs = pairs.tolist() if is_array else pairs
         if fault := _first_fault(n, pairs):
             line = f"line {lines[fault[0]]}: " if lines else ""
             raise ValidationError(line + fault[1])
@@ -268,7 +271,7 @@ def gen_ba(n: int, m0: int, seed: int) -> Graph:
         raise ValidationError(f"need n > m0, got n={n}, m0={m0}")
     require_edge_count(m0 * (n - m0))
     halves = _raw_halves(np.random.default_rng(seed).bit_generator)
-    repeated: list[int] = [0] * m0 + list(range(1, m0 + 1))
+    repeated = array("i", [0] * m0 + list(range(1, m0 + 1)))  # ids fit int32
     for source in range(m0 + 1, n):
         high = len(repeated)
         targets: set[int] = set()
@@ -280,7 +283,7 @@ def gen_ba(n: int, m0: int, seed: int) -> Graph:
     # repeated runs in blocks of 2*m0 ends: the star's m0 zeros, then its
     # leaves; each source's picks, then the source m0 times.  Block t's
     # i-th and (m0+i)-th ends make one edge.
-    ends = np.array(repeated, dtype=np.int64).reshape(-1, 2, m0)
+    ends = np.frombuffer(repeated, dtype=np.intc).reshape(-1, 2, m0)
     return Graph.from_edges(n, ends.transpose(0, 2, 1).reshape(-1, 2))
 
 
@@ -391,16 +394,7 @@ class GraphStats(Document):
     d_max: int
     degeneracy: int
     chiba_sum: int
-
-    @property
-    def arboricity_range(self) -> tuple[int, int]:
-        """Interval implied by degeneracy: ceil((delta+1)/2) <= arboricity <= delta."""
-        if self.degeneracy == 0:
-            return (0, 0)
-        return ((self.degeneracy + 2) // 2, self.degeneracy)
-
-    def to_json_dict(self) -> dict:
-        return {**super().to_json_dict(), "arboricity_range": list(self.arboricity_range)}
+    arboricity_range: tuple[int, int]  # ceil((delta+1)/2) <= arboricity <= delta
 
 
 def graph_stats(graph: Graph) -> GraphStats:
@@ -414,4 +408,5 @@ def graph_stats(graph: Graph) -> GraphStats:
         d_max=int(d.max()) if graph.n else 0,
         degeneracy=delta,
         chiba_sum=chiba,
+        arboricity_range=((delta + 2) // 2, delta) if delta else (0, 0),
     )

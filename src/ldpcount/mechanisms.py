@@ -22,7 +22,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ResourceLimitError, ValidationError
-from .graphs import Graph
+from .graphs import MEMORY_BUDGET, Graph
 
 INF = math.inf
 
@@ -34,7 +34,7 @@ STAGE_COUNT = 2
 BUDGET_SLACK = 1e-12
 
 # Bound on the server's dense matrices: 9*n*n bytes, the bits plus unbiased.
-DENSE_BYTES_LIMIT = 4 * 2**30
+DENSE_BYTES_LIMIT = MEMORY_BUDGET
 
 # Columns the RR mirror fills per pass; the panel's source rows stay in
 # cache while their transpose is read.

@@ -14,7 +14,7 @@ import numpy as np
 
 from .documents import Document
 from .errors import ValidationError
-from .graphs import Graph
+from .graphs import Graph, require_integer
 from .mechanisms import (
     INF,
     STAGE_DEGREE,
@@ -100,18 +100,21 @@ class EstimateReport(Document):
 class OrderedStage:
     """Everything both estimators need after the first two queries."""
 
+    budget: PrivacyBudget
+    seed: int
+    trial: int
     obf: ObfuscatedGraph
     clipped_degrees: np.ndarray  # real-valued, per rank
     projected: tuple[np.ndarray, ...]  # per rank: intp views
     clipped_users: int
 
-    def report(self, per_user, budget, seed, mode, **cycle_fields) -> EstimateReport:
+    def report(self, per_user, mode, **cycle_fields) -> EstimateReport:
         """The run's report over its per-user sums; no-noise runs carry no budget."""
         return EstimateReport(
             estimate=float(per_user.sum()),
             per_user=tuple(float(x) for x in per_user),
-            budget=budget if mode == "noisy" else None,
-            seed=seed,
+            budget=self.budget if mode == "noisy" else None,
+            seed=self.seed,
             clipped_users=self.clipped_users,
             mode=mode,
             **cycle_fields,
@@ -126,8 +129,10 @@ def run_ordered_stage(
     User i's draws come from substreams keyed (seed, trial, stage, i), so
     users could run concurrently and any schedule reproduces the same
     output: the first uniform of its degree stream, the first i of its RR
-    stream.  No stream is built for a mechanism at eps=inf.
+    stream.  No stream is built for a mechanism at eps=inf.  ``seed`` and
+    ``trial`` follow the integer rule and are kept as ``int``.
     """
+    seed, trial = require_integer(seed, "seed"), require_integer(trial, "trial")
     n = graph.n
     if n == 0:
         raise ValidationError("the graph has 0 nodes; the protocol needs at least one")
@@ -153,6 +158,9 @@ def run_ordered_stage(
     ends = reordered.indptr.tolist()
     rows = (indices[a:b] for a, b in zip(ends, ends[1:]))
     return OrderedStage(
+        budget=budget,
+        seed=seed,
+        trial=trial,
         obf=obf,
         clipped_degrees=d_hat,
         projected=tuple(map(project_mu, rows, floors.tolist())),

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, require_integer
+from .graphs import Graph
 from .mechanisms import (
+    INF,
     STAGE_COUNT,
     ObfuscatedGraph,
     PrivacyBudget,
@@ -57,18 +58,15 @@ def estimate_triangles(
     In no-noise mode the result equals the exact triangle count: every
     triangle {a < b < c} is charged to its middle rank exactly once.
     """
-    seed, trial = require_integer(seed, "seed"), require_integer(trial, "trial")
     budget = resolve_mode(mode, budget)
     stage = run_ordered_stage(graph, budget, seed, trial)
     n = graph.n
     per_user = np.array(
         [user_triangle_estimate(i, stage.projected[i], stage.obf) for i in range(n)]
     )
-    if mode == "noisy":
-        u = np.array(
-            [substream(seed, trial, STAGE_COUNT, i).random() for i in range(n)]
-        )
+    if budget.eps2 != INF:  # at eps2=inf the count noise is the identity
+        u = [substream(stage.seed, stage.trial, STAGE_COUNT, i).random() for i in range(n)]
         per_user = user_triangle_noise(
             per_user, stage.clipped_degrees, budget.eps1, budget.eps2, u
         )
-    return stage.report(per_user, budget, seed, mode)
+    return stage.report(per_user, mode)

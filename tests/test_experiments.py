@@ -20,8 +20,10 @@ from ldpcount import (
     run_trials,
     verify_bounds,
 )
-from ldpcount.graphs import gen_ktree, path_graph
+from ldpcount import cycles, mechanisms, protocol, triangles
+from ldpcount.graphs import gen_ktree, path_graph, petersen_graph
 from ldpcount.oracles import count_low2stars
+from ldpcount.protocol import run_ordered_stage
 
 INF = math.inf
 
@@ -118,6 +120,51 @@ def test_seed_and_trial_follow_the_integer_rule(estimate, mode):
             estimate(g, budget, bad, mode, 1)
         with pytest.raises(ValidationError, match="trial must be an integer"):
             estimate(g, budget, 3, mode, bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda bad: verify_bounds(petersen_graph(), 2, 1.0, bad),
+    lambda bad: run_ordered_stage(petersen_graph(), BUDGET, bad, 0),
+], ids=["verify-bounds", "ordered-stage"])
+def test_the_bounds_study_and_the_stage_apply_the_integer_rule_to_seed(call):
+    for bad in ("abc", 2.5, True):
+        with pytest.raises(ValidationError, match="^seed must be an integer, got"):
+            call(bad)
+
+
+def test_the_stage_applies_the_integer_rule_to_trial():
+    for bad in (True, "x", 1.0):
+        with pytest.raises(ValidationError, match="^trial must be an integer, got"):
+            run_ordered_stage(petersen_graph(), BUDGET, 0, bad)
+    stage = run_ordered_stage(petersen_graph(), BUDGET, np.int64(4), np.int64(2))
+    assert (type(stage.seed), type(stage.trial)) == (int, int)
+
+
+@pytest.mark.parametrize("estimate, user_sum", [
+    (lambda g, budget: estimate_triangles(g, budget, 5, trial=1),
+     triangles.user_triangle_estimate),
+    (lambda g, budget: estimate_odd_cycles(g, 5, budget, 5, trial=1),
+     lambda i, row, obf: cycles.user_cycle_estimate(i, row, obf, 5)),
+], ids=["triangles", "cycles"])
+def test_no_count_stream_is_built_at_infinite_eps2(monkeypatch, estimate, user_sum):
+    built = []
+
+    def counting(*path):
+        built.append(path[2])  # the stage tag of (seed, trial, stage, user)
+        return mechanisms.substream(*path)
+
+    for module in (protocol, triangles, cycles):
+        monkeypatch.setattr(module, "substream", counting)
+    g = make_graph("ba:30:2", derive_seed(0, "graph"))
+    estimate(g, BUDGET)
+    assert np.bincount(built).tolist() == [g.n] * 3
+    built.clear()
+    budget = replace(BUDGET, eps2=INF)
+    report = estimate(g, budget)
+    assert np.bincount(built).tolist() == [g.n] * 2  # degree and RR streams only
+    stage = run_ordered_stage(g, budget, 5, 1)
+    sums = [user_sum(i, row, stage.obf) for i, row in enumerate(stage.projected)]
+    assert report.per_user == tuple(sums) and report.budget == budget
 
 
 def test_numpy_integer_k_gives_a_json_report():

@@ -191,14 +191,16 @@ def test_generators_refuse_m_above_edge_limit_first(monkeypatch, build, m):
 
 
 def test_gen_ba_graph_is_small_read_only_and_sorted():
-    # the tuples of Python ints it replaced held 62 MiB
+    # the tuples of Python ints it replaced held 62 MiB; a Python list of
+    # edge ends, in place of the int32 buffer, peaked at 39 MiB
     tracemalloc.start()
     try:
         g = gen_ba(10**5, 3, seed=1)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert held <= 8 * 2**20
+    assert peak <= 32 * 2**20
     assert (g.edges.dtype, g.indices.dtype, type(g.n)) == (np.int32, np.int32, int)
     for a in (g.edges, g.indptr, g.indices, g.row(0)):
         with pytest.raises(ValueError, match="read-only"):

@@ -6,15 +6,16 @@ module imports another's private name.
 
 Mechanisms take uniform draws, not generators: only the code that runs a
 protocol stage builds substreams, so no function takes an ``rng`` except
-``sample_laplace``, the generator-facing sampler kept for the tests.
+``sample_laplace``, the generator-facing sampler kept for the tests, and
+only the stage and estimator modules, plus the ordering study in
+``experiments.py``, call ``substream``.
 
 A module imports only names it uses; ``__init__.py`` imports to re-export.
 
 The document format is written once: only ``documents.py`` names the
 ``"schema"`` key that stamps every report.  Reports are written, never read
 back: no module defines ``from_json_dict`` or ``from_csv``, and only
-``documents.Document`` and the one ``graphs.GraphStats`` override define
-``to_json_dict``.
+``documents.Document`` defines ``to_json_dict``.
 
 Estimate reports are assembled once: only ``protocol.py`` calls
 ``EstimateReport(...)``, at a single site.
@@ -112,6 +113,40 @@ def test_only_sample_laplace_takes_a_generator():
     assert found == RNG_TAKERS_ALLOWED
 
 
+SUBSTREAM_CALLERS_ALLOWED = [
+    "cycles.py", "experiments.py", "protocol.py", "triangles.py",
+]
+
+
+def substream_calls(tree: ast.AST) -> list[int]:
+    """Line numbers of calls to ``substream``, bare or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "substream"
+    )
+
+
+def test_finds_substream_call():
+    tree = ast.parse(
+        "u = substream(0, 1, 2, 3).random()\nv = mechanisms.substream(0)\n"
+        "w = substream\nx = derive_seed(0, 'substream')\n"
+    )
+    assert substream_calls(tree) == [1, 2]
+
+
+def test_streams_built_only_where_a_protocol_stage_runs():
+    callers = [
+        path.name
+        for path in MODULES
+        if substream_calls(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        )
+    ]
+    assert callers == SUBSTREAM_CALLERS_ALLOWED
+
+
 def test_finds_unused_import():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -153,10 +188,7 @@ def test_schema_key_written_only_in_documents(path):
 
 
 DOCUMENT_METHODS = {"from_json_dict", "from_csv", "to_json_dict"}
-DOCUMENT_METHODS_ALLOWED = [
-    "documents.Document.to_json_dict",
-    "graphs.GraphStats.to_json_dict",
-]
+DOCUMENT_METHODS_ALLOWED = ["documents.Document.to_json_dict"]
 
 
 def document_methods(tree: ast.AST, module: str) -> list[str]:

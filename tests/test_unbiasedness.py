@@ -1,0 +1,89 @@
+"""Unbiasedness and randomized-response variance, by exact enumeration.
+
+On a graph of n nodes there are 2^C(n,2) randomized-response (RR) outcomes.
+With the ordering and projection fixed (eps0 = inf and zeta = 1, so no user
+is clipped), the expectation of an estimate over RR is a finite sum: every
+outcome, weighted by its probability, through the production per-user sums.
+Unbiasedness is then an equality to rounding, with no statistical slack.
+"""
+
+import math
+from itertools import combinations, product
+
+import numpy as np
+import pytest
+
+from ldpcount import (
+    PrivacyBudget,
+    make_graph,
+    unbias_variance,
+    user_cycle_estimate,
+    user_triangle_estimate,
+)
+from ldpcount.mechanisms import ObfuscatedGraph, rr_keep_probability
+from ldpcount.oracles import count_cycles, count_triangles
+from ldpcount.protocol import run_ordered_stage
+
+INF = math.inf
+
+# er:5:0.7 at graph seed 3 holds 4 triangles and 4 five-cycles.
+GRAPH = make_graph("er:5:0.7", 3)
+
+
+def rr_moments(graph, eps1: float, user_sum) -> tuple[float, float]:
+    """Mean and variance over every RR outcome of sum_i user_sum(i, row, obf).
+
+    The ordering and the projection are those of eps0 = inf and zeta = 1, so
+    every projected row is the user's whole row in rank order.
+    """
+    stage = run_ordered_stage(graph, PrivacyBudget(INF, INF, INF, 1.0), 0, 0)
+    truth = stage.obf.bits
+    assert [len(row) for row in stage.projected] == truth.sum(1).tolist()  # unclipped
+    pairs = list(combinations(range(graph.n), 2))
+    keep = rr_keep_probability(eps1)
+    mean = second = 0.0
+    for outcome in product((0, 1), repeat=len(pairs)):
+        bits = np.zeros((graph.n, graph.n), dtype=np.uint8)
+        prob = 1.0
+        for (j, k), bit in zip(pairs, outcome):
+            bits[j, k] = bits[k, j] = bit
+            prob *= keep if bit == truth[j, k] else 1.0 - keep
+        obf = ObfuscatedGraph(bits, eps1)
+        total = sum(user_sum(i, row, obf) for i, row in enumerate(stage.projected))
+        mean += prob * total
+        second += prob * total * total
+    return mean, second - mean * mean
+
+
+TASKS = {
+    "triangles": (user_triangle_estimate, count_triangles),
+    "c5": (
+        lambda i, row, obf: user_cycle_estimate(i, row, obf, 5),
+        lambda g: count_cycles(g, 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("eps1", [0.5, 2.0])
+@pytest.mark.parametrize("task", sorted(TASKS))
+def test_expectation_over_every_rr_outcome_is_the_exact_count(task, eps1):
+    user_sum, oracle = TASKS[task]
+    exact = oracle(GRAPH)
+    assert exact == 4
+    mean, _ = rr_moments(GRAPH, eps1, user_sum)
+    assert mean == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("eps1", [0.5, 2.0])
+def test_triangle_rr_variance_is_the_sum_of_squared_fork_counts(eps1):
+    # The triangle estimate is linear in independent unbiased entries: entry
+    # (j, k) enters once per user i with j < i < k in its row, so the
+    # variance is sum c_jk^2 * unbias_variance(eps1) over those counts c_jk.
+    stage = run_ordered_stage(GRAPH, PrivacyBudget(INF, INF, INF, 1.0), 0, 0)
+    counts = np.zeros((GRAPH.n, GRAPH.n))
+    for i, row in enumerate(stage.projected):
+        below, above = row[row < i], row[row > i]
+        counts[np.ix_(below, above)] += 1
+    predicted = float((counts**2).sum()) * unbias_variance(eps1)
+    _, variance = rr_moments(GRAPH, eps1, user_triangle_estimate)
+    assert variance == pytest.approx(predicted, rel=1e-9)
