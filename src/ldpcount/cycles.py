@@ -17,12 +17,12 @@ from .mechanisms import (
     STAGE_COUNT,
     ObfuscatedGraph,
     PrivacyBudget,
+    add_noise,
     substream,
     unbias_span,
 )
 from .protocol import (
     EstimateReport,
-    add_noise,
     resolve_mode,
     run_ordered_stage,
     split_forks,

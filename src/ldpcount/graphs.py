@@ -12,7 +12,6 @@ import re
 from array import array
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 from numbers import Integral
 from typing import IO, Iterable, Iterator
 
@@ -26,8 +25,10 @@ MEMORY_BUDGET = 4 * 2**30
 # At 16 bytes per node of an edgeless build (tracemalloc), half the budget;
 # ids fit int32, pair keys lo*n + hi 2**54.
 NODE_LIMIT = MEMORY_BUDGET // 2 // 16
-# _canonical peaks at 80 bytes per edge over its int64 input, gen_ba at 92
-# and gen_er at 112 (tracemalloc); at 128, the budget, and 2*EDGE_LIMIT < 2**32.
+# Build peaks per edge (tracemalloc): _canonical 80 over its int64 input;
+# gen_er 114, gen_ba 92, gen_ktree 83 (k = 3; 80 at k = 40), path_graph,
+# cycle_graph and star_graph 92, complete_graph 88.  At 128, the budget;
+# and 2*EDGE_LIMIT < 2**32.
 EDGE_LIMIT = MEMORY_BUDGET // 128
 
 
@@ -108,7 +109,8 @@ def _first_fault(n: int, pairs: list) -> tuple[int, str] | None:
     """Index and reason of the first pair that breaks the simple-graph rules.
 
     In input order, each must be a pair of integer ids in ``[0, n)``, then
-    neither a self-loop nor a repeat in either orientation.
+    neither a self-loop nor a repeat in either orientation.  Only pairs from
+    a caller or a file reach it: every constructor hands over an int array.
     """
     seen: set[tuple[int, int]] = set()
     for index, pair in enumerate(pairs):
@@ -290,54 +292,74 @@ def gen_ba(n: int, m0: int, seed: int) -> Graph:
 def gen_ktree(n: int, k: int, seed: int) -> Graph:
     """Random k-tree: new nodes attach to a uniformly chosen k-clique.
 
-    Degeneracy is exactly k for n >= k+1.
+    Degeneracy is exactly k for n >= k+1.  The first k+1 nodes form a
+    clique; its k-subsets, in lexicographic order, are cliques 0..k.  Node
+    v = k+1+t draws one of the cliques so far with ``Generator.integers``
+    and joins it: that clique is v's base, row t of an int32 view into the
+    edge array.  v's k new cliques are its base minus one entry, with v
+    appended, so clique k+1 + k*t + j is read back from row t without
+    entry j, then v: no clique is stored apart from the edges.
     """
     n, k = require_node_count(n), require_integer(k, "k")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if n <= k:
         raise ValidationError(f"need n > k, got n={n}, k={k}")
-    require_edge_count(k * (k + 1) // 2 + k * (n - k - 1))  # a clique, then k per node
+    m_first = k * (k + 1) // 2  # the first clique's edges, then k per node
+    require_edge_count(m_first + k * (n - k - 1))
     rng = np.random.default_rng(seed)
-    edges = list(combinations(range(k + 1), 2))
-    cliques = [tuple(c) for c in combinations(range(k + 1), k)]
-    for v in range(k + 1, n):
-        base = cliques[int(rng.integers(len(cliques)))]
-        edges.extend((u, v) for u in base)
-        for drop in base:
-            cliques.append(tuple(sorted((set(base) - {drop}) | {v})))
+    edges = np.empty((m_first + k * (n - k - 1), 2), dtype=np.int32)
+    edges[:m_first] = np.column_stack(np.triu_indices(k + 1, 1))
+    edges[m_first:, 1] = np.repeat(np.arange(k + 1, n, dtype=np.int32), k)
+    bases = edges[m_first:, 0].reshape(-1, k)  # a view: row t is node k+1+t's base
+    first_clique = np.arange(k + 1)
+    for t in range(n - k - 1):
+        c = int(rng.integers(k + 1 + k * t))
+        if c <= k:  # the first clique's subsets drop entries k, k-1, ..., 0
+            bases[t] = np.delete(first_clique, k - c)
+        else:
+            s, j = divmod(c - k - 1, k)
+            bases[t, :j] = bases[s, :j]
+            bases[t, j:-1] = bases[s, j + 1 :]
+            bases[t, -1] = k + 1 + s
     return Graph.from_edges(n, edges)
 
 
 def path_graph(n: int) -> Graph:
     n = require_node_count(n)
-    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
+    require_edge_count(n - 1)
+    i = np.arange(n - 1, dtype=np.int32)
+    return Graph.from_edges(n, np.column_stack((i, i + 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     n = require_node_count(n)
     if n < 3:
         raise ValidationError(f"cycle needs >= 3 nodes, got {n}")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    require_edge_count(n)
+    i = np.arange(n, dtype=np.int32)
+    return Graph.from_edges(n, np.column_stack((i, (i + 1) % n)))
 
 
 def complete_graph(n: int) -> Graph:
     n = require_node_count(n)
     require_edge_count(n * (n - 1) // 2)
-    return Graph.from_edges(n, combinations(range(n), 2))
+    return Graph.from_edges(n, np.column_stack(np.triu_indices(n, 1)))
 
 
 def star_graph(n: int) -> Graph:
     """Star on n nodes: center 0, leaves 1..n-1."""
     n = require_node_count(n)
-    return Graph.from_edges(n, ((0, i) for i in range(1, n)))
+    require_edge_count(n - 1)
+    leaves = np.arange(1, n, dtype=np.int32)
+    return Graph.from_edges(n, np.column_stack((np.zeros_like(leaves), leaves)))
 
 
 def petersen_graph() -> Graph:
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph.from_edges(10, edges)
+    return Graph.from_edges(10, np.array(edges))
 
 
 def degeneracy(graph: Graph) -> tuple[int, list[int]]:

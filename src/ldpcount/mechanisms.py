@@ -142,6 +142,23 @@ def sample_laplace(scale: float, rng: np.random.Generator, size: int | None = No
     return laplace_quantile(u, scale)
 
 
+def add_noise(value, scale, u=None):
+    """value + Lap(scale), elementwise; exactly ``value`` where the scale is 0.
+
+    ``u`` holds one uniform draw in [0, 1) per value and may be None only
+    when every scale is 0.  A scalar ``value`` comes back as a float.
+    """
+    value = np.asarray(value, dtype=np.float64)
+    scale = np.asarray(scale, dtype=np.float64)
+    if not np.all(scale >= 0.0):
+        raise ValidationError(f"Laplace scale must be >= 0, got {np.min(scale)}")
+    noisy = scale != 0.0
+    if noisy.any():
+        noise = laplace_quantile(as_uniforms(u, value.shape), scale)
+        value = np.where(noisy, value + noise, value)
+    return value if value.ndim else float(value)
+
+
 def require_eps(name: str, eps: float) -> None:
     """Raise ValidationError unless ``eps`` is a usable budget, inf included.
 

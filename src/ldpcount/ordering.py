@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .graphs import Graph, relabel, require_permutation
-from .mechanisms import as_uniforms, laplace_quantile, require_eps
+from .mechanisms import add_noise, require_eps
 
 # Publishing a degree has global sensitivity 1: adding or removing one edge
 # changes it by exactly 1.
@@ -44,14 +43,13 @@ class NodeOrdering:
 def get_ordering(graph: Graph, eps0: float, u=None) -> NodeOrdering:
     """Publish degrees with Laplace noise of scale 1/eps0 and rank them.
 
-    Node i's noise is the Laplace quantile of its uniform draw ``u[i]``.  At
-    eps0=inf the degrees are published exactly and ``u`` is unused.
+    Node i's noise is the Laplace quantile of its uniform draw ``u[i]``, added
+    by ``add_noise``.  At eps0=inf the scale is 0, so the degrees are published
+    exactly and ``u`` is unused.
     """
     require_eps("eps0", eps0)
     n = graph.n
-    noisy = graph.degrees.astype(np.float64)
-    if eps0 != math.inf:
-        noisy += laplace_quantile(as_uniforms(u, (n,)), DEGREE_SENSITIVITY / eps0)
+    noisy = add_noise(graph.degrees, DEGREE_SENSITIVITY / eps0, u)
     order = np.lexsort((np.arange(n), -noisy))
     phi = np.empty(n, dtype=np.int64)
     phi[order] = np.arange(n)

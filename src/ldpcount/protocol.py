@@ -21,9 +21,7 @@ from .mechanisms import (
     STAGE_RR,
     ObfuscatedGraph,
     PrivacyBudget,
-    as_uniforms,
     assemble_obfuscated,
-    laplace_quantile,
     project_mu,
     substream,
 )
@@ -52,23 +50,6 @@ def clipped_degree(noisy_degree, eps0: float, n: int, zeta: float):
     if n / zeta == math.inf:
         raise ValidationError(f"zeta={zeta} is too small for n={n}: n/zeta overflows float64")
     return noisy_degree + math.log(n / zeta) / eps0
-
-
-def add_noise(value, scale, u=None):
-    """value + Lap(scale), elementwise; exactly ``value`` where the scale is 0.
-
-    ``u`` holds one uniform draw in [0, 1) per value and may be None only
-    when every scale is 0.  A scalar ``value`` comes back as a float.
-    """
-    value = np.asarray(value, dtype=np.float64)
-    scale = np.asarray(scale, dtype=np.float64)
-    if not np.all(scale >= 0.0):
-        raise ValidationError(f"Laplace scale must be >= 0, got {np.min(scale)}")
-    noisy = scale != 0.0
-    if noisy.any():
-        noise = laplace_quantile(as_uniforms(u, value.shape), scale)
-        value = np.where(noisy, value + noise, value)
-    return value if value.ndim else float(value)
 
 
 def split_forks(row: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:

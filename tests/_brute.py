@@ -21,7 +21,9 @@ library's one sorted-key constructor reproduces (``assert_same_graph``), and
 ``Philox(key=...)``, whose state and draws the library's entropy-free
 ``substream`` reproduces bit for bit.  ``_gen_ba_integers`` is preferential
 attachment with one ``Generator.integers`` call per draw, whose graphs the
-library's raw-stream ``gen_ba`` reproduces.  Only usable at tiny sizes.
+library's raw-stream ``gen_ba`` reproduces, and ``_gen_ktree_tuples`` the
+random k-tree grown from lists of edge and clique tuples, whose graphs the
+library's array ``gen_ktree`` reproduces.  Only usable at tiny sizes.
 """
 
 from itertools import combinations, permutations
@@ -262,4 +264,17 @@ def _gen_ba_integers(n: int, m0: int, seed: int) -> Graph:
         edges.extend((source, t) for t in picked)
         repeated.extend(picked)
         repeated.extend([source] * m0)
+    return Graph.from_edges(n, edges)
+
+
+def _gen_ktree_tuples(n: int, k: int, seed: int) -> Graph:
+    """Random k-tree: each clique a sorted tuple, each new one from a set."""
+    rng = np.random.default_rng(seed)
+    edges = list(combinations(range(k + 1), 2))
+    cliques = [tuple(c) for c in combinations(range(k + 1), k)]
+    for v in range(k + 1, n):
+        base = cliques[int(rng.integers(len(cliques)))]
+        edges.extend((u, v) for u in base)
+        for drop in base:
+            cliques.append(tuple(sorted((set(base) - {drop}) | {v})))
     return Graph.from_edges(n, edges)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -20,7 +21,7 @@ from ldpcount import (
     run_trials,
     verify_bounds,
 )
-from ldpcount import cycles, mechanisms, protocol, triangles
+from ldpcount import cycles, experiments, mechanisms, protocol, triangles
 from ldpcount.graphs import gen_ktree, path_graph, petersen_graph
 from ldpcount.oracles import count_low2stars
 from ldpcount.protocol import run_ordered_stage
@@ -216,6 +217,23 @@ def test_verify_bounds_k4_exact_mode():
     assert report.degeneracy == 3
     assert report.chiba_bound_ok and report.edge_count_ok
     assert report.low2star_bound_rhs == report.chiba_sum  # eps0=inf adds nothing
+
+
+@pytest.mark.parametrize("graph, orderings, digest", [
+    (complete_graph(4), 3, "d42ebae006c954c7edf2baf6dc8877679ebbebe339e78d1aff936e69efd96cd2"),
+    (gen_ba(400, 3, 0), 20, "e175ac33e7c0d5e2baea8dbe75e2a017dee8d6ea2d7e261362d9a554bb74038c"),
+], ids=["k4", "ba:400:3"])
+def test_verify_bounds_builds_no_stream_at_infinite_eps0(monkeypatch, graph, orderings, digest):
+    # every ordering at eps0=inf is the same; the digests are of reports that
+    # counted every one, each after building a stream it did not use
+    def no_stream(*path):
+        raise AssertionError("built a stream at eps0=inf")
+
+    monkeypatch.setattr(experiments, "substream", no_stream)
+    report = verify_bounds(graph, orderings, INF, seed=7)
+    text = json.dumps(report.to_json_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert report.orderings == orderings and report.stderr_low2stars == 0.0
 
 
 def test_verify_bounds_tree_has_no_cycles():

@@ -32,6 +32,7 @@ from ldpcount.oracles import count_cycles, count_triangles
 
 from _brute import (
     _gen_ba_integers,
+    _gen_ktree_tuples,
     _graph_from_edge_set,
     _relabel_from_edges,
     assert_same_graph,
@@ -170,8 +171,11 @@ def test_every_constructor_refuses_n_above_node_limit_first(monkeypatch, build):
         (lambda: gen_ba(2000, 3, 1), 5991),
         (lambda: gen_ktree(2000, 2, 1), 3997),
         (lambda: complete_graph(2000), 1999000),
+        (lambda: path_graph(2000), 1999),
+        (lambda: cycle_graph(2000), 2000),
+        (lambda: star_graph(2000), 1999),
     ],
-    ids=["gen_er", "gen_ba", "gen_ktree", "complete"],
+    ids=["gen_er", "gen_ba", "gen_ktree", "complete", "path", "cycle", "star"],
 )
 def test_generators_refuse_m_above_edge_limit_first(monkeypatch, build, m):
     # gen_er(2000, 1.0) once peaked at 575 MB over 28 s before any guard
@@ -188,6 +192,34 @@ def test_generators_refuse_m_above_edge_limit_first(monkeypatch, build, m):
     finally:
         tracemalloc.stop()
     assert peak < 2**14
+
+
+# Every constructor that makes its own edges, at about the largest size that
+# builds within a second or two under tracemalloc.
+LARGE_BUILDS = {
+    "gen_er": lambda: gen_er(3000, 0.05, 1),
+    "gen_ba": lambda: gen_ba(2 * 10**4, 3, 1),
+    "gen_ktree": lambda: gen_ktree(2 * 10**4, 3, 1),
+    "gen_ktree-k40": lambda: gen_ktree(2000, 40, 1),
+    "path": lambda: path_graph(10**6),
+    "cycle": lambda: cycle_graph(10**6),
+    "star": lambda: star_graph(10**6),
+    "complete": lambda: complete_graph(1500),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_BUILDS))
+def test_every_constructor_peaks_within_the_edge_limit_price(name):
+    # EDGE_LIMIT is priced at 128 bytes per edge; the k-tree's lists of edge
+    # and clique tuples peaked at 244 (571 at k = 40), the named graphs' edge
+    # tuples at 153-232
+    tracemalloc.start()
+    try:
+        g = LARGE_BUILDS[name]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * g.m
 
 
 def test_gen_ba_graph_is_small_read_only_and_sorted():
@@ -433,6 +465,50 @@ def test_gen_ba_refuses_bounds_from_2_32_before_drawing(monkeypatch):
 def test_gen_ktree_degeneracy_exact():
     g = gen_ktree(40, 3, seed=2)
     assert degeneracy(g)[0] == 3
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (30, 1), (50, 3), (300, 7), (1000, 4), (60, 40)])
+@pytest.mark.parametrize("seed", [0, *(derive_seed(s, "graph") for s in range(2))])
+def test_gen_ktree_matches_the_clique_tuple_reference(n, k, seed):
+    assert_same_graph(gen_ktree(n, k, seed), _gen_ktree_tuples(n, k, seed))
+
+
+# sha256 of each graph's dump_edge_list, pinned while the k-tree and the
+# named graphs were still built from Python tuples; "e3b0c442..." is the
+# empty edge list
+GRAPH_DIGESTS = [
+    (lambda: gen_er(300, 0.1, 1), "14fcf3498f924dca25e7bda055dcecd58d5a37a4c54a1c0f44ed408e6fcfa018"),
+    (lambda: gen_er(1, 0.5, 1), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (lambda: gen_ba(300, 3, 1), "d0d3f47e33cb65b8d53501abe97dc35eae62cca4df46d08e287d33b7ccab0bef"),
+    (lambda: gen_ktree(50, 3, 1), "ad964fe0b4592fba990869064571be591e395243b80aa6c477e78cfd051f5f45"),
+    (lambda: gen_ktree(10**3, 4, 2), "52f4ff4eb46c24cf1d69f97766975b4b936873aa28582bb14f6ca48cd880e5c0"),
+    (lambda: gen_ktree(10**5, 3, 3), "fc68b079d70fdf665e2e72452ba863269ca6875ef3632abac27e839328c399d1"),
+    (lambda: gen_ktree(60, 40, 4), "39019c36fb222739af1886ddee6ff0713722caf7c55911ad5ecc9f7f0e81f400"),
+    (lambda: path_graph(10**5), "b444ad978ad8a685b660bca029991e09874c2a4a9ec30f0671c59eca66c69046"),
+    (lambda: path_graph(1), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (lambda: cycle_graph(10**5), "d5b5a2ad169f695c33e207e749e2319e3b11619f271e63a7896560e18b6118e4"),
+    (lambda: star_graph(10**5), "42b4d068703692fc2da923bc8a82cc9ff6cb34c0262d7c38687313ac20289e21"),
+    (lambda: star_graph(1), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (lambda: complete_graph(300), "cdb5b39467b2b66d0235922d58e30fc916ae5d25279b8f3e13a54bd3adb8cfc3"),
+    (lambda: complete_graph(1), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (lambda: petersen_graph(), "5e831e4e971b87aaa20e92099ed3002faad1fae5f6606d0fa214cfdfee658023"),
+]
+GRAPH_DIGEST_IDS = [
+    "er", "er-n1", "ba", "ktree-50-3", "ktree-1e3-4", "ktree-1e5-3", "ktree-k40",
+    "path", "path-n1", "cycle", "star", "star-n1", "complete", "complete-n1", "petersen",
+]
+
+
+@pytest.mark.parametrize("build, digest", GRAPH_DIGESTS, ids=GRAPH_DIGEST_IDS)
+def test_every_constructor_builds_the_same_graph_on_the_array_path(
+    monkeypatch, build, digest
+):
+    def no_pair_loop(n, pairs):
+        raise AssertionError("a constructor's edges reached the pair loop")
+
+    monkeypatch.setattr(graphs, "_first_fault", no_pair_loop)
+    g = build()
+    assert hashlib.sha256(dump_edge_list(g).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

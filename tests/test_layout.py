@@ -22,6 +22,9 @@ Estimate reports are assembled once: only ``protocol.py`` calls
 
 Graphs are built once: ``Graph`` is instantiated at a single site, the
 canonical builder in ``graphs.py`` that every constructor goes through.
+A function that makes its own edges and hands them to ``from_edges`` prices
+them first with ``require_edge_count``; only ``petersen_graph``, with its 15
+fixed edges, does not.
 
 The CSR layout is a decision of one module plus the projection: only
 ``graphs.py`` and ``protocol.py`` read a graph's ``indptr`` or ``indices``;
@@ -303,6 +306,44 @@ def test_graph_built_at_one_site():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += graph_constructions(tree, path.stem)
     assert found == ["graphs._canonical"]
+
+
+EDGE_GUARD_SKIPS_ALLOWED = ["graphs.petersen_graph"]
+
+
+def unguarded_edge_builds(tree: ast.AST, module: str) -> list[str]:
+    """Functions that call ``from_edges`` but not ``require_edge_count``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            called = {
+                getattr(call.func, "id", getattr(call.func, "attr", None))
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+            }
+            if "from_edges" in called and "require_edge_count" not in called:
+                found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_finds_unguarded_edge_build():
+    tree = ast.parse(
+        "def path(n):\n    return Graph.from_edges(n, pairs(n))\n"
+        "def cycle(n):\n    graphs.require_edge_count(n)\n"
+        "    return Graph.from_edges(n, ring(n))\n"
+        "def load(text):\n    return _canonical(*parse(text))\n"
+        "def star(n):\n    require_edge_count(n - 1)\n"
+        "    return from_edges(n, spokes(n))\n"
+    )
+    assert unguarded_edge_builds(tree, "m") == ["m.path"]
+
+
+def test_every_edge_maker_calls_the_edge_guard():
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += unguarded_edge_builds(tree, path.stem)
+    assert found == EDGE_GUARD_SKIPS_ALLOWED
 
 
 CSR_READERS_ALLOWED = ["graphs.py", "protocol.py"]

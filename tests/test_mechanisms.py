@@ -34,10 +34,10 @@ from ldpcount.mechanisms import (
     STAGE_DEGREE,
     STAGE_RR,
     ObfuscatedGraph,
+    add_noise,
     laplace_quantile,
     rr_keep_probability,
 )
-from ldpcount.protocol import add_noise
 
 from _brute import (
     _assemble_bits_lower_plus_transpose,

@@ -26,8 +26,12 @@ from ldpcount.protocol import run_ordered_stage
 
 INF = math.inf
 
-# er:5:0.7 at graph seed 3 holds 4 triangles and 4 five-cycles.
-GRAPH = make_graph("er:5:0.7", 3)
+# At graph seed 3, er:5:0.7 holds 4 triangles and 4 five-cycles, and
+# er:6:0.6 holds 9 and 20 over its 2^15 RR outcomes.
+GRAPHS = {"er:5:0.7": make_graph("er:5:0.7", 3), "er:6:0.6": make_graph("er:6:0.6", 3)}
+EXACT = {"er:5:0.7": {"triangles": 4, "c5": 4}, "er:6:0.6": {"triangles": 9, "c5": 20}}
+CASES = [("er:5:0.7", 0.5), ("er:5:0.7", 2.0), ("er:6:0.6", 0.5)]
+CASE_IDS = ["0.5", "2.0", "n6-0.5"]
 
 
 def rr_moments(graph, eps1: float, user_sum) -> tuple[float, float]:
@@ -64,26 +68,28 @@ TASKS = {
 }
 
 
-@pytest.mark.parametrize("eps1", [0.5, 2.0])
+@pytest.mark.parametrize("spec, eps1", CASES, ids=CASE_IDS)
 @pytest.mark.parametrize("task", sorted(TASKS))
-def test_expectation_over_every_rr_outcome_is_the_exact_count(task, eps1):
+def test_expectation_over_every_rr_outcome_is_the_exact_count(task, spec, eps1):
     user_sum, oracle = TASKS[task]
-    exact = oracle(GRAPH)
-    assert exact == 4
-    mean, _ = rr_moments(GRAPH, eps1, user_sum)
+    graph = GRAPHS[spec]
+    exact = oracle(graph)
+    assert exact == EXACT[spec][task]
+    mean, _ = rr_moments(graph, eps1, user_sum)
     assert mean == pytest.approx(exact, rel=1e-9, abs=0.0)
 
 
-@pytest.mark.parametrize("eps1", [0.5, 2.0])
-def test_triangle_rr_variance_is_the_sum_of_squared_fork_counts(eps1):
+@pytest.mark.parametrize("spec, eps1", CASES, ids=CASE_IDS)
+def test_triangle_rr_variance_is_the_sum_of_squared_fork_counts(spec, eps1):
     # The triangle estimate is linear in independent unbiased entries: entry
     # (j, k) enters once per user i with j < i < k in its row, so the
     # variance is sum c_jk^2 * unbias_variance(eps1) over those counts c_jk.
-    stage = run_ordered_stage(GRAPH, PrivacyBudget(INF, INF, INF, 1.0), 0, 0)
-    counts = np.zeros((GRAPH.n, GRAPH.n))
+    graph = GRAPHS[spec]
+    stage = run_ordered_stage(graph, PrivacyBudget(INF, INF, INF, 1.0), 0, 0)
+    counts = np.zeros((graph.n, graph.n))
     for i, row in enumerate(stage.projected):
         below, above = row[row < i], row[row > i]
         counts[np.ix_(below, above)] += 1
     predicted = float((counts**2).sum()) * unbias_variance(eps1)
-    _, variance = rr_moments(GRAPH, eps1, user_triangle_estimate)
+    _, variance = rr_moments(graph, eps1, user_triangle_estimate)
     assert variance == pytest.approx(predicted, rel=1e-9)
