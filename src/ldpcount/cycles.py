@@ -18,6 +18,7 @@ from .mechanisms import (
     ObfuscatedGraph,
     PrivacyBudget,
     add_noise,
+    require_dense_bytes,
     substream,
     unbias_span,
 )
@@ -29,6 +30,9 @@ from .protocol import (
 )
 
 PATH_TUPLE_LIMIT = 10**9
+# Dense bytes per cell of the k=5 route at its traced peak: the RR bits 1,
+# the unbiased matrix 8, _k5_scratch 11 and a pair's gathered cells up to 8.
+K5_BYTES_PER_CELL = 28
 # Cells of one path-extension grid; a larger frontier is split into row blocks.
 _BLOCK_CELLS = 1 << 16
 
@@ -42,15 +46,6 @@ def require_odd_k(k: int) -> int:
     if k % 2 == 0 or k < 5:
         raise ValidationError(f"cycle length must be odd and >= 5, got {k}")
     return k
-
-
-def _check_path_tuples(forks: int, n: int, k: int, who: str) -> None:
-    """Refuse a sum over more than PATH_TUPLE_LIMIT admissible-path tuples."""
-    if n ** (k - 3) * forks > PATH_TUPLE_LIMIT:
-        raise ResourceLimitError(
-            f"{who}: {forks} forks x n^{k - 3} tuples exceeds "
-            f"{PATH_TUPLE_LIMIT}; shrink n or k"
-        )
 
 
 def server_walk_sum(obf: ObfuscatedGraph, k: int) -> float:
@@ -193,10 +188,8 @@ def user_cycle_estimate(
     """
     k = require_odd_k(k)
     below, above = split_forks(projected_row, i)
-    fork_count = len(below) * len(above)
-    if fork_count == 0:
+    if not (len(below) and len(above)):
         return 0.0
-    _check_path_tuples(fork_count, obf.n, k, f"user {i}")
     ahat = obf.unbiased
     if k == 5:
         return _k5_user_sum(i, below, above, ahat, scratch)
@@ -232,10 +225,17 @@ def estimate_odd_cycles(
     """
     k = require_odd_k(k)
     budget = resolve_mode(mode, budget)
+    if k == 5:
+        require_dense_bytes(graph.n, K5_BYTES_PER_CELL)
     stage = run_ordered_stage(graph, budget, seed, trial)
     n = graph.n
-    forks = (split_forks(row, i) for i, row in enumerate(stage.projected))
-    _check_path_tuples(sum(len(b) * len(a) for b, a in forks), n, k, "all users")
+    splits = map(split_forks, stage.projected, range(n))
+    forks = sum(len(below) * len(above) for below, above in splits)
+    if n ** (k - 3) * forks > PATH_TUPLE_LIMIT:
+        raise ResourceLimitError(
+            f"all users: {forks} forks x n^{k - 3} tuples exceeds "
+            f"{PATH_TUPLE_LIMIT}; shrink n or k"
+        )
     walk_sum = server_walk_sum(stage.obf, k)
     scratch = _k5_scratch(n) if k == 5 else None
     per_user = np.array(

@@ -27,8 +27,8 @@ MEMORY_BUDGET = 4 * 2**30
 NODE_LIMIT = MEMORY_BUDGET // 2 // 16
 # Build peaks per edge (tracemalloc): _canonical 80 over its int64 input;
 # gen_er 114, gen_ba 92, gen_ktree 83 (k = 3; 80 at k = 40), path_graph,
-# cycle_graph and star_graph 92, complete_graph 88.  At 128, the budget;
-# and 2*EDGE_LIMIT < 2**32.
+# cycle_graph and star_graph 92, complete_graph 88, load_edge_list 100.
+# At 128, the budget; and 2*EDGE_LIMIT < 2**32.
 EDGE_LIMIT = MEMORY_BUDGET // 128
 
 
@@ -133,7 +133,7 @@ def _first_fault(n: int, pairs: list) -> tuple[int, str] | None:
     return None
 
 
-def _canonical(n: int, pairs: list | np.ndarray, lines: list | None = None) -> Graph:
+def _canonical(n: int, pairs: list | np.ndarray, lines: array | None = None) -> Graph:
     """The one place a ``Graph`` is made, and the one place pairs are checked.
 
     An integer (k, 2) array is checked on its pair keys lo*n + hi, sorted once:
@@ -166,7 +166,7 @@ def _canonical(n: int, pairs: list | np.ndarray, lines: list | None = None) -> G
 
 
 def load_edge_list(source: str | IO[str]) -> Graph:
-    """Parse whitespace-separated "u v" lines into a graph.
+    """Parse whitespace-separated "u v" lines, each ended by "\\n", into a graph.
 
     ``#`` starts a comment that runs to the end of its line, and lines left
     blank are skipped.  Node ids are decimal integers in ASCII digits, mapped
@@ -174,10 +174,10 @@ def load_edge_list(source: str | IO[str]) -> Graph:
     warning and become isolated nodes.
     """
     text = source if isinstance(source, str) else source.read()
-    pairs: list[tuple[int, int]] = []
-    lines: list[int] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    require_edge_count(text.count("\n") + 1)  # the lines, before any is parsed
+    ids, lines, huge = array("q"), array("q"), -1  # huge: the largest id past int64
+    for ln, match in enumerate(re.finditer(r"^.*$", text, re.M), start=1):
+        line = match[0].split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
@@ -188,9 +188,13 @@ def load_edge_list(source: str | IO[str]) -> Graph:
         u, v = int(parts[0]), int(parts[1])
         if u < 0 or v < 0:
             raise ParseError(f"negative node id in {line!r}", line=ln)
-        pairs.append((u, v))
+        if (u | v) >> 63:
+            huge = max(huge, u, v)
+            continue
+        ids.extend((u, v))
         lines.append(ln)
-    n = require_node_count(max(map(max, pairs), default=-1) + 1)
+    pairs = np.frombuffer(ids, dtype=np.int64).reshape(-1, 2)
+    n = require_node_count(max(huge, int(pairs.max(initial=-1))) + 1)
     graph = _canonical(n, pairs, lines)
     if unused := int(np.count_nonzero(graph.degrees == 0)):
         warnings.warn(
@@ -294,11 +298,11 @@ def gen_ktree(n: int, k: int, seed: int) -> Graph:
 
     Degeneracy is exactly k for n >= k+1.  The first k+1 nodes form a
     clique; its k-subsets, in lexicographic order, are cliques 0..k.  Node
-    v = k+1+t draws one of the cliques so far with ``Generator.integers``
-    and joins it: that clique is v's base, row t of an int32 view into the
-    edge array.  v's k new cliques are its base minus one entry, with v
-    appended, so clique k+1 + k*t + j is read back from row t without
-    entry j, then v: no clique is stored apart from the edges.
+    v = k+1+t draws one of the cliques so far, by ``gen_ba``'s raw-stream
+    rule (``_lemire``), and joins it: that clique is v's base, row t of an
+    int32 view into the edge array.  v's k new cliques are its base minus
+    one entry, with v appended, so clique k+1 + k*t + j is read back from
+    row t without entry j, then v: no clique is stored apart from the edges.
     """
     n, k = require_node_count(n), require_integer(k, "k")
     if k < 1:
@@ -306,15 +310,15 @@ def gen_ktree(n: int, k: int, seed: int) -> Graph:
     if n <= k:
         raise ValidationError(f"need n > k, got n={n}, k={k}")
     m_first = k * (k + 1) // 2  # the first clique's edges, then k per node
-    require_edge_count(m_first + k * (n - k - 1))
-    rng = np.random.default_rng(seed)
-    edges = np.empty((m_first + k * (n - k - 1), 2), dtype=np.int32)
+    require_edge_count(m := m_first + k * (n - k - 1))
+    halves = _raw_halves(np.random.default_rng(seed).bit_generator)
+    edges = np.empty((m, 2), dtype=np.int32)
     edges[:m_first] = np.column_stack(np.triu_indices(k + 1, 1))
     edges[m_first:, 1] = np.repeat(np.arange(k + 1, n, dtype=np.int32), k)
     bases = edges[m_first:, 0].reshape(-1, k)  # a view: row t is node k+1+t's base
     first_clique = np.arange(k + 1)
     for t in range(n - k - 1):
-        c = int(rng.integers(k + 1 + k * t))
+        c = _lemire(halves, k + 1 + k * t)
         if c <= k:  # the first clique's subsets drop entries k, k-1, ..., 0
             bases[t] = np.delete(first_clique, k - c)
         else:

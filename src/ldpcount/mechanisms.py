@@ -33,7 +33,7 @@ STAGE_COUNT = 2
 
 BUDGET_SLACK = 1e-12
 
-# Bound on the server's dense matrices: 9*n*n bytes, the bits plus unbiased.
+# Bound on a route's dense n x n matrices, priced per cell (require_dense_bytes).
 DENSE_BYTES_LIMIT = MEMORY_BUDGET
 
 # Columns the RR mirror fills per pass; the panel's source rows stay in
@@ -242,6 +242,14 @@ class ObfuscatedGraph:
         return a
 
 
+def require_dense_bytes(n: int, per_cell: int) -> None:
+    """Refuse a route holding ``per_cell`` bytes per cell of an n x n matrix."""
+    if per_cell * n * n > DENSE_BYTES_LIMIT:
+        raise ResourceLimitError(
+            f"n={n} needs {per_cell * n * n} dense bytes > DENSE_BYTES_LIMIT; shrink n"
+        )
+
+
 def assemble_obfuscated(graph: Graph, eps: float, u_rows=None) -> ObfuscatedGraph:
     """Mirror every user's randomized-response report into one symmetric matrix.
 
@@ -250,10 +258,7 @@ def assemble_obfuscated(graph: Graph, eps: float, u_rows=None) -> ObfuscatedGrap
     i = 0..n-1; a generator keeps one row alive at a time.  Unused at eps=inf.
     """
     n = graph.n
-    if 9 * n * n > DENSE_BYTES_LIMIT:
-        raise ResourceLimitError(
-            f"n={n} needs {9 * n * n} dense bytes > DENSE_BYTES_LIMIT; shrink n"
-        )
+    require_dense_bytes(n, 9)  # the bits 1 and the unbiased matrix 8
     bits = np.zeros((n, n), dtype=np.uint8)
     bits[graph.edges[:, 1], graph.edges[:, 0]] = 1
     if eps != INF:

@@ -1,8 +1,8 @@
 """Exact brute-force subgraph counters used as ground truth.
 
 Everything here enumerates explicitly and is meant for desk-scale inputs.
-Cycles, paths and monotone cycles share one simple-path walker, which
-aborts with ResourceLimitError once 1e8 partial paths have been visited.
+Cycles, paths and monotone cycles share one simple-path walker; each call
+is priced by a walk count before the walker starts (``_require_walks``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from .documents import Document
 from .errors import ResourceLimitError, ValidationError
 from .graphs import Graph, require_integer
 
-PARTIAL_PATH_LIMIT = 10**8
+# 5e-9 to 3e-8 s per walk of the price (ba:400:3 to er:60:0.2 at k = 7): 1e9
+# admits at most about 30 s, as the old 1e8-step counter did at 3e-7 s a step.
+WALK_LIMIT = 10**9
 MAX_CYCLE_LENGTH = 9
 
 
@@ -30,15 +32,32 @@ def count_triangles(graph: Graph) -> int:
     return sum(len(s & above[b]) for s in above for b in s)
 
 
+def _require_walks(graph: Graph, depth: int, limit: float) -> float:
+    """Walks of 1 to ``depth`` edges, sum of 1'A^l 1; refused once past ``limit``.
+
+    They bound the walker's steps: each scans a neighbor of the end of a
+    simple path of t < depth edges, a distinct walk of t + 1 edges.  The
+    levels stop at the non-isolated node count, which no simple path exceeds.
+    """
+    nodes, ends = np.unique(graph.edges, return_inverse=True)
+    u, w, size = *ends.reshape(-1, 2).T, len(nodes)
+    walks, total = np.ones(size), 0.0
+    for _ in range(min(depth, size)):
+        walks = np.bincount(u, walks[w], size) + np.bincount(w, walks[u], size)
+        if (total := total + walks.sum()) > limit:
+            raise ResourceLimitError(
+                f"oracle walks exceed WALK_LIMIT={limit} (at least {total:.3g}); "
+                "shrink the instance"
+            )
+    return total
+
+
 def _simple_paths(graph: Graph, edges: int, rising: bool) -> Iterator[list[int]]:
     """Yield every simple path with ``edges`` edges, start vertex ascending.
 
     With ``rising`` every later vertex must exceed the start.  The yielded
-    list is the walker's own and changes as it goes on.  Each neighbor
-    scanned is one partial path; more than PARTIAL_PATH_LIMIT of them
-    raises ResourceLimitError.
+    list is the walker's own and changes as it goes on.  Callers price it first.
     """
-    steps = 0
     adj = [graph.row(u).tolist() for u in range(graph.n)]  # once per call
     on_path = bytearray(graph.n)
     for s in range(graph.n):
@@ -48,12 +67,6 @@ def _simple_paths(graph: Graph, edges: int, rising: bool) -> Iterator[list[int]]
         frontier = [iter(adj[s])]
         while frontier:
             for w in frontier[-1]:
-                steps += 1
-                if steps > PARTIAL_PATH_LIMIT:
-                    raise ResourceLimitError(
-                        f"enumeration exceeded {PARTIAL_PATH_LIMIT} partial paths; "
-                        "shrink the instance"
-                    )
                 if on_path[w] or (rising and w < s):
                     continue
                 path.append(w)
@@ -73,8 +86,8 @@ def enumerate_cycles(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """Each k-cycle once, as a canonical vertex tuple, from a lazy iterator.
 
     Canonical form: minimum vertex first, then the direction whose second
-    vertex is smaller than the last.  ``k`` is checked at the call, before
-    any cycle is drawn.
+    vertex is smaller than the last.  ``k`` and the walk price are checked
+    at the call, before any cycle is drawn.
     """
     k = require_integer(k, "cycle length")
     if k < 3:
@@ -83,6 +96,7 @@ def enumerate_cycles(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
         raise ResourceLimitError(
             f"cycle length {k} exceeds the desk-scale cap of {MAX_CYCLE_LENGTH}"
         )
+    _require_walks(graph, k - 1, WALK_LIMIT)
     closes = [set(graph.row(u).tolist()) for u in range(graph.n)]
     paths = _simple_paths(graph, k - 1, rising=True)
     return (tuple(p) for p in paths if p[1] < p[-1] and p[0] in closes[p[-1]])
@@ -98,6 +112,7 @@ def count_paths(graph: Graph, k: int) -> int:
     k = require_integer(k, "path edge count")
     if k < 1:
         raise ValidationError(f"path edge count must be >= 1, got {k}")
+    _require_walks(graph, k, WALK_LIMIT)
     paths = _simple_paths(graph, k, rising=False)
     return sum(1 for path in paths if path[0] < path[-1])
 

@@ -23,7 +23,9 @@ library's one sorted-key constructor reproduces (``assert_same_graph``), and
 attachment with one ``Generator.integers`` call per draw, whose graphs the
 library's raw-stream ``gen_ba`` reproduces, and ``_gen_ktree_tuples`` the
 random k-tree grown from lists of edge and clique tuples, whose graphs the
-library's array ``gen_ktree`` reproduces.  Only usable at tiny sizes.
+library's array ``gen_ktree`` reproduces.  ``walker_steps`` is the oracle's
+simple-path walker with the step counter it once checked in its loop; the
+library's walk bound must cover its count.  Only usable at tiny sizes.
 """
 
 from itertools import combinations, permutations
@@ -278,3 +280,34 @@ def _gen_ktree_tuples(n: int, k: int, seed: int) -> Graph:
         for drop in base:
             cliques.append(tuple(sorted((set(base) - {drop}) | {v})))
     return Graph.from_edges(n, edges)
+
+
+def walker_steps(graph: Graph, edges: int, rising: bool) -> int:
+    """Neighbors the oracle's walker scans to reach every path of ``edges`` edges.
+
+    The walker of ``oracles._simple_paths`` with its step counter: each
+    neighbor scanned at the end of a partial path is one step.
+    """
+    steps = 0
+    adj = [graph.row(u).tolist() for u in range(graph.n)]
+    on_path = bytearray(graph.n)
+    for s in range(graph.n):
+        path = [s]
+        on_path[s] = 1
+        frontier = [iter(adj[s])]
+        while frontier:
+            for w in frontier[-1]:
+                steps += 1
+                if on_path[w] or (rising and w < s):
+                    continue
+                path.append(w)
+                if len(path) > edges:
+                    path.pop()
+                    continue
+                on_path[w] = 1
+                frontier.append(iter(adj[w]))
+                break
+            else:
+                frontier.pop()
+                on_path[path.pop()] = 0
+    return steps

@@ -328,10 +328,33 @@ def test_dense_limit_exit_2(monkeypatch, capsys, command):
 
 
 def test_partial_path_limit_exit_2(monkeypatch, capsys):
-    monkeypatch.setattr(oracles, "PARTIAL_PATH_LIMIT", 50)
+    monkeypatch.setattr(oracles, "WALK_LIMIT", 50)
     code, out, err = run_cli(capsys, "count-exact", "--gen", "ba:40:3", "--cycles", "5")
     assert code == 2
-    assert "partial paths" in err and out == ""
+    assert "WALK_LIMIT=50 " in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count-exact", "--gen", "er:60:0.5", "--cycles", "9"),
+        ("experiment", "--task", "cycles", "--k", "9", "--gen", "er:60:0.5",
+         "--trials", "1", "--eps0", ".5", "--eps1", "1", "--eps2", "1"),
+    ],
+    ids=["count-exact", "experiment"],
+)
+def test_oracle_walk_priced_before_it_walks_exit_2(monkeypatch, capsys, argv):
+    # the walker's old step counter gave up after about 30 s of walking
+    def walker_must_not_run(*args):
+        raise AssertionError("walked before the price was checked")
+
+    monkeypatch.setattr(oracles, "_simple_paths", walker_must_not_run)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err.startswith("error: oracle walks exceed WALK_LIMIT=1000000000 ")
+    assert out == ""
 
 
 @pytest.mark.parametrize("command", ["experiment", "error-scaling"])

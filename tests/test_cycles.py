@@ -22,7 +22,7 @@ from ldpcount import (
     user_cycle_estimate,
     user_cycle_noise,
 )
-from ldpcount import apply_ordering, cycles, derive_seed, get_ordering, make_graph
+from ldpcount import apply_ordering, cycles, derive_seed, get_ordering, make_graph, mechanisms
 from ldpcount.cycles import admissible
 from ldpcount.mechanisms import assemble_obfuscated
 from ldpcount.oracles import count_cycles, enumerate_cycles
@@ -354,6 +354,42 @@ def test_path_guard_counts_all_users_before_any_sum(monkeypatch, spec):
     with pytest.raises(ResourceLimitError, match="all users"):
         estimate_odd_cycles(g, 7, PrivacyBudget(0.5, 1.0, 1.0, 0.05), 0)
     assert calls == []
+
+
+def test_c5_dense_price_checked_before_the_stage(monkeypatch):
+    # Between the stage's 9 n^2 and the k=5 route's 28 n^2 bytes, the stage
+    # alone would pass and the route would allocate its scratch.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before the dense price was checked")
+
+    g = gen_er(30, 0.2, seed=1)
+    n = g.n
+    budget = PrivacyBudget(0.5, 1.0, 1.0, 0.05)
+    monkeypatch.setattr(mechanisms, "DENSE_BYTES_LIMIT", 20 * n * n)
+    assert estimate_odd_cycles(g, 7, None, 0, "no-noise").estimate == count_cycles(g, 7)
+    monkeypatch.setattr(cycles, "run_ordered_stage", must_not_run)
+    monkeypatch.setattr(cycles, "_k5_scratch", must_not_run)
+    for args in ((None, 0, "no-noise"), (budget, 0)):
+        with pytest.raises(ResourceLimitError, match=f"^n={n} needs {28 * n * n} dense"):
+            estimate_odd_cycles(g, 5, *args)
+    monkeypatch.undo()
+    monkeypatch.setattr(mechanisms, "DENSE_BYTES_LIMIT", 28 * n * n)
+    assert estimate_odd_cycles(g, 5, None, 0, "no-noise").estimate == count_cycles(g, 5)
+
+
+def test_c5_dense_price_covers_the_traced_peak():
+    # The bits, the unbiased matrix, the scratch and a pair's gathered cells
+    # are 28 bytes per cell; the rest is O(n), about 85 bytes per node.
+    n = 1000
+    g = Graph.from_edges(n, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    for args in ((None, 0, "no-noise"), (PrivacyBudget(1.0, 1.0, 1.0, 0.1), 0)):
+        tracemalloc.start()
+        try:
+            estimate_odd_cycles(g, 5, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 26 * n * n < peak <= cycles.K5_BYTES_PER_CELL * n * n + 128 * n
 
 
 def test_linearity_in_single_unbiased_entry():

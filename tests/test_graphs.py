@@ -118,6 +118,30 @@ def test_from_edges_validation():
         Graph.from_edges(-1, [])
 
 
+def test_load_keeps_its_error_order_past_int64_and_on_crlf():
+    # an id at or past the int64 maximum is refused by the node count, after
+    # every parse error
+    for big in (2**63 - 1, 2**70):
+        with pytest.raises(ResourceLimitError, match=f"^n={big + 1} nodes > NODE_LIMIT="):
+            load_edge_list(f"0 1\n1 {big}\n2 3\n")
+    with pytest.raises(ParseError, match="line 3"):
+        load_edge_list(f"0 1\n1 {big}\nx y\n")
+    assert load_edge_list("0 1\r\n1 2\r\n") == path_graph(3)
+
+
+def test_edge_list_priced_by_its_lines_before_parsing(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("built before the price was checked")
+
+    monkeypatch.setattr(graphs, "EDGE_LIMIT", 100)
+    monkeypatch.setattr(graphs, "_canonical", must_not_run)
+    # a parse would stop at line 1; 101 newlines make 102 lines
+    with pytest.raises(ResourceLimitError, match="^m=102 edges > EDGE_LIMIT=100;"):
+        load_edge_list("x y\n" + "0 1\n" * 100)
+    with pytest.raises(ParseError, match="line 1"):
+        load_edge_list("x y\n" + "0 1\n" * 98)
+
+
 def test_node_limit_refused_before_any_array_of_n():
     # 10**12 nodes once asked numpy for 7.28 TiB and raised MemoryError
     tracemalloc.start()
@@ -194,9 +218,11 @@ def test_generators_refuse_m_above_edge_limit_first(monkeypatch, build, m):
     assert peak < 2**14
 
 
-# Every constructor that makes its own edges, at about the largest size that
-# builds within a second or two under tracemalloc.
+_BA_TEXT = dump_edge_list(gen_ba(2 * 10**4, 3, 1))
+# Every constructor that makes its own edges, and the edge-list reader, at
+# about the largest size that builds within a second or two under tracemalloc.
 LARGE_BUILDS = {
+    "load_edge_list": lambda: load_edge_list(_BA_TEXT),
     "gen_er": lambda: gen_er(3000, 0.05, 1),
     "gen_ba": lambda: gen_ba(2 * 10**4, 3, 1),
     "gen_ktree": lambda: gen_ktree(2 * 10**4, 3, 1),
@@ -212,7 +238,7 @@ LARGE_BUILDS = {
 def test_every_constructor_peaks_within_the_edge_limit_price(name):
     # EDGE_LIMIT is priced at 128 bytes per edge; the k-tree's lists of edge
     # and clique tuples peaked at 244 (571 at k = 40), the named graphs' edge
-    # tuples at 153-232
+    # tuples at 153-232, an edge list's tuples and line list at 246
     tracemalloc.start()
     try:
         g = LARGE_BUILDS[name]()

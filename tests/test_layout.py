@@ -35,6 +35,9 @@ Every generator is seeded and built where the determinism contract says:
 only in ``mechanisms.substream`` and the seeded graph generators, and never
 without an argument, which would draw OS entropy.
 
+A resource guard prices its route once, before the work: no name ending in
+``_LIMIT`` is read inside a loop or a comprehension.
+
 The estimators take the graph, the cycle length ``k`` for cycles, the
 budget, the seed, the mode and a keyword-only trial, and nothing else: a new
 option changes ``ESTIMATOR_SIGNATURES`` and has to show a measurement that
@@ -428,6 +431,60 @@ def test_generators_are_seeded_and_built_only_where_the_contract_says():
         found += generator_constructions(tree, path.stem)
     assert sorted({scope for scope, _, _ in found}) == GENERATOR_SITES_ALLOWED
     assert [call for call in found if not call[2]] == []
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def limit_reads_in_loops(tree: ast.AST, module: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each ``*_LIMIT`` read in a loop or comprehension."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{module}.{child.name}")
+                continue
+            if isinstance(child, LOOPS):
+                found.update(
+                    (scope, read.lineno)
+                    for read in ast.walk(child)
+                    if isinstance(read, (ast.Name, ast.Attribute))
+                    and isinstance(read.ctx, ast.Load)
+                    and getattr(read, "id", getattr(read, "attr", "")).endswith("_LIMIT")
+                )
+            visit(child, scope)
+
+    visit(tree, f"{module}.<module>")
+    return sorted(found)
+
+
+def test_finds_limit_read_in_loop():
+    tree = ast.parse(
+        "A_LIMIT = 10\n"
+        "def f(xs):\n"
+        "    if len(xs) > A_LIMIT:\n"
+        "        raise ValueError\n"
+        "    for x in xs:\n"
+        "        if x > A_LIMIT:\n"
+        "            break\n"
+        "    return [x for x in xs if x < mod.B_LIMIT]\n"
+        "def g(n):\n"
+        "    while n > LIMIT_N:\n"
+        "        A_LIMIT = n\n"
+        "        n -= 1\n"
+        "total = sum(x for x in range(C_LIMIT))\n"
+    )
+    assert limit_reads_in_loops(tree, "m") == [("m.<module>", 13), ("m.f", 6), ("m.f", 8)]
+
+
+def test_no_guard_runs_inside_a_loop():
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += limit_reads_in_loops(tree, path.stem)
+    assert found == []
 
 
 ESTIMATOR_SIGNATURES = {

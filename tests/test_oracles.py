@@ -1,3 +1,6 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
@@ -33,7 +36,9 @@ from _brute import (
     brute_count_monotone_cycles,
     brute_count_paths,
     brute_count_triangles,
+    walker_steps,
 )
+from test_graphs import ROSTER, ROSTER_IDS
 
 
 def test_triangles_known():
@@ -66,14 +71,75 @@ def test_cycles_guards():
 def test_partial_path_guard_trips_on_every_walker_route(monkeypatch):
     g = complete_graph(6)
     assert count_cycles(g, 4) == 45 and count_paths(g, 3) == 180
-    monkeypatch.setattr(oracles, "PARTIAL_PATH_LIMIT", 50)
+    # both walk to depth 3: 30 + 150 + 750 walks
+    assert oracles._require_walks(g, 3, math.inf) == 930
+
+    def walker_must_not_run(*args):
+        raise AssertionError("walked before the price was checked")
+
+    monkeypatch.setattr(oracles, "_simple_paths", walker_must_not_run)
+    monkeypatch.setattr(oracles, "WALK_LIMIT", 929)
     for count in (
+        lambda: enumerate_cycles(g, 4),
         lambda: count_cycles(g, 4),
         lambda: count_paths(g, 3),
         lambda: count_monotone_cycles(g, 4),
     ):
-        with pytest.raises(ResourceLimitError, match="50 partial paths"):
+        with pytest.raises(ResourceLimitError, match="WALK_LIMIT=929 "):
             count()
+    monkeypatch.undo()
+    monkeypatch.setattr(oracles, "WALK_LIMIT", 930)
+    assert count_cycles(g, 4) == 45 and count_paths(g, 3) == 180
+
+
+def test_walk_guard_refuses_er60_at_k9_in_milliseconds():
+    # the step counter it replaced raised only after 32 s of walking
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="walks exceed WALK_LIMIT=1000000000 "):
+        count_cycles(gen_er(60, 0.5, seed=1), 9)
+    assert time.perf_counter() - start < 1.0
+
+
+WALKER_ROUTES = [
+    *((count_cycles, k) for k in range(3, 10)),
+    *((count_monotone_cycles, k) for k in (4, 6, 8)),
+    *((count_paths, k) for k in range(1, 9)),
+]
+
+
+@pytest.mark.parametrize("graph", ROSTER + [complete_graph(3)], ids=ROSTER_IDS + ["K3"])
+def test_walk_bound_covers_the_walker_steps(monkeypatch, graph):
+    # Each route prices the walk it runs, and the walks of 1..depth edges
+    # bound the steps of the walker with its old counter.  On K3 the paths
+    # of 3 edges need the third level: the walks of 1 and 2 edges are 18,
+    # the steps 30.  Cases priced above 3e5 take too long to step through.
+    calls = []
+    monkeypatch.setattr(
+        oracles,
+        "_simple_paths",
+        lambda g, edges, rising: calls.append((edges, rising)) or iter(()),
+    )
+    monkeypatch.setattr(oracles, "WALK_LIMIT", math.inf)
+    priced = []
+    price = oracles._require_walks
+    monkeypatch.setattr(
+        oracles,
+        "_require_walks",
+        lambda g, depth, limit: priced.append((depth, limit)) or price(g, depth, limit),
+    )
+    stepped = 0
+    for route, k in WALKER_ROUTES:
+        route(graph, k)
+        (edges, rising), priced_at = calls.pop(), priced.pop()
+        assert priced_at == (edges, oracles.WALK_LIMIT)
+        bound = price(graph, edges, math.inf)
+        if bound <= 3e5:
+            assert walker_steps(graph, edges, rising) <= bound, (route.__name__, k)
+            stepped += 1
+    assert stepped >= 6
+    if graph.n == 3:
+        assert walker_steps(graph, 3, False) == 30
+        assert price(graph, 2, math.inf) == 18 < 30 <= price(graph, 3, math.inf)
 
 
 def test_paths_known():
