@@ -165,19 +165,25 @@ def _canonical(n: int, pairs: list | np.ndarray, lines: array | None = None) -> 
     return Graph(n=n, edges=edges, indptr=indptr, indices=indices)
 
 
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines' line ends
+_LINE = re.compile(f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}]|\\Z)")
+
+
 def load_edge_list(source: str | IO[str]) -> Graph:
-    """Parse whitespace-separated "u v" lines, each ended by "\\n", into a graph.
+    """Parse whitespace-separated "u v" lines into a graph.
 
     ``#`` starts a comment that runs to the end of its line, and lines left
     blank are skipped.  Node ids are decimal integers in ASCII digits, mapped
     verbatim (no compaction); unused ids below the maximum only raise a
-    warning and become isolated nodes.
+    warning and become isolated nodes.  Lines end where ``str.splitlines``
+    ends them.
     """
     text = source if isinstance(source, str) else source.read()
-    require_edge_count(text.count("\n") + 1)  # the lines, before any is parsed
+    # the lines, before any is parsed
+    require_edge_count(sum(map(text.count, _BREAKS)) - text.count("\r\n") + 1)
     ids, lines, huge = array("q"), array("q"), -1  # huge: the largest id past int64
-    for ln, match in enumerate(re.finditer(r"^.*$", text, re.M), start=1):
-        line = match[0].split("#", 1)[0].strip()
+    for ln, match in enumerate(_LINE.finditer(text), start=1):
+        line = match[1].split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()

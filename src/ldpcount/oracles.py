@@ -2,7 +2,7 @@
 
 Everything here enumerates explicitly and is meant for desk-scale inputs.
 Cycles, paths and monotone cycles share one simple-path walker; each call
-is priced by a walk count before the walker starts (``_require_walks``).
+is priced by a bound on its steps before the walker starts (``_require_walks``).
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from .documents import Document
 from .errors import ResourceLimitError, ValidationError
 from .graphs import Graph, require_integer
 
-# 5e-9 to 3e-8 s per walk of the price (ba:400:3 to er:60:0.2 at k = 7): 1e9
-# admits at most about 30 s, as the old 1e8-step counter did at 3e-7 s a step.
-WALK_LIMIT = 10**9
+# The price is never below the walker's steps, and equals them on paths of 1-2
+# edges, at 1.7e-7 to 6.5e-7 s a step (ER, mean degree 30 down to 2): 1e8, the
+# old step counter's cap, admits about 20 s, and up to a minute when sparse.
+WALK_LIMIT = 10**8
 MAX_CYCLE_LENGTH = 9
 
 
@@ -32,23 +33,35 @@ def count_triangles(graph: Graph) -> int:
     return sum(len(s & above[b]) for s in above for b in s)
 
 
-def _require_walks(graph: Graph, depth: int, limit: float) -> float:
-    """Walks of 1 to ``depth`` edges, sum of 1'A^l 1; refused once past ``limit``.
+def _require_walks(graph: Graph, depth: int) -> float:
+    """A bound on the walker's steps to ``depth`` edges; refused past WALK_LIMIT.
 
-    They bound the walker's steps: each scans a neighbor of the end of a
-    simple path of t < depth edges, a distinct walk of t + 1 edges.  The
-    levels stop at the non-isolated node count, which no simple path exceeds.
+    Each step scans a neighbor of the end of a simple path of t < depth
+    edges: 2m steps from the one-node paths.  From the S_t paths of t >= 1
+    edges there are at most S_t*dmax, and at most S_t backtracks plus the
+    non-backtracking walks of t + 1 edges, x_{t+1} = A x_t - (d - [t > 1]) x_{t-1}.
+    S_t is at most those walks of t edges, and at most S_{t-1}*min(dmax - 1,
+    nodes - t) over the non-isolated nodes.  The levels stop once S_t is 0
+    or the total passes the limit.
     """
     nodes, ends = np.unique(graph.edges, return_inverse=True)
     u, w, size = *ends.reshape(-1, 2).T, len(nodes)
-    walks, total = np.ones(size), 0.0
-    for _ in range(min(depth, size)):
-        walks = np.bincount(u, walks[w], size) + np.bincount(w, walks[u], size)
-        if (total := total + walks.sum()) > limit:
-            raise ResourceLimitError(
-                f"oracle walks exceed WALK_LIMIT={limit} (at least {total:.3g}); "
-                "shrink the instance"
-            )
+    deg = np.bincount(ends.ravel(), minlength=size).astype(float)
+    top, limit = deg.max(initial=0.0), WALK_LIMIT
+    back, walks = np.ones(size), deg  # non-backtracking walks of t - 1 and t edges
+    total = paths = walks.sum()  # the one-node paths' steps; S_1 = 2m
+    for t in range(1, min(depth, size)):
+        ahead = np.bincount(u, walks[w], size) + np.bincount(w, walks[u], size)
+        back, walks = walks, ahead - (deg - (t > 1)) * back
+        total += min(paths + walks.sum(), paths * top)
+        paths = min(walks.sum(), paths * min(top - 1, size - t - 1))
+        if total > limit or not paths:
+            break
+    if total > limit:
+        raise ResourceLimitError(
+            f"oracle walks exceed WALK_LIMIT={limit} (at least {total:.3g}); "
+            "shrink the instance"
+        )
     return total
 
 
@@ -96,7 +109,7 @@ def enumerate_cycles(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
         raise ResourceLimitError(
             f"cycle length {k} exceeds the desk-scale cap of {MAX_CYCLE_LENGTH}"
         )
-    _require_walks(graph, k - 1, WALK_LIMIT)
+    _require_walks(graph, k - 1)
     closes = [set(graph.row(u).tolist()) for u in range(graph.n)]
     paths = _simple_paths(graph, k - 1, rising=True)
     return (tuple(p) for p in paths if p[1] < p[-1] and p[0] in closes[p[-1]])
@@ -112,7 +125,7 @@ def count_paths(graph: Graph, k: int) -> int:
     k = require_integer(k, "path edge count")
     if k < 1:
         raise ValidationError(f"path edge count must be >= 1, got {k}")
-    _require_walks(graph, k, WALK_LIMIT)
+    _require_walks(graph, k)
     paths = _simple_paths(graph, k, rising=False)
     return sum(1 for path in paths if path[0] < path[-1])
 

@@ -353,7 +353,7 @@ def test_oracle_walk_priced_before_it_walks_exit_2(monkeypatch, capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 2
-    assert err.startswith("error: oracle walks exceed WALK_LIMIT=1000000000 ")
+    assert err.startswith("error: oracle walks exceed WALK_LIMIT=100000000 ")
     assert out == ""
 
 

@@ -129,6 +129,18 @@ def test_load_keeps_its_error_order_past_int64_and_on_crlf():
     assert load_edge_list("0 1\r\n1 2\r\n") == path_graph(3)
 
 
+@pytest.mark.parametrize("end", ["\r", "\v", "\f", "\x1c", "\x85", "\u2028", "\u2029"])
+def test_load_ends_lines_where_splitlines_does(monkeypatch, end):
+    assert load_edge_list(f"0 1{end}1 2{end}") == path_graph(3)
+    with pytest.raises(ParseError, match="line 3"):
+        load_edge_list(f"0 1{end}# c\r\n1 x\n")
+    # each end is priced as a line, a CRLF once
+    monkeypatch.setattr(graphs, "EDGE_LIMIT", 3)
+    assert load_edge_list(f"0 1{end}1 2\r\n2 3") == path_graph(4)
+    with pytest.raises(ResourceLimitError, match="^m=4 edges > EDGE_LIMIT=3;"):
+        load_edge_list(f"0 1{end}1 2\r\n2 3\n")
+
+
 def test_edge_list_priced_by_its_lines_before_parsing(monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("built before the price was checked")

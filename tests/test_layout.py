@@ -36,7 +36,9 @@ only in ``mechanisms.substream`` and the seeded graph generators, and never
 without an argument, which would draw OS entropy.
 
 A resource guard prices its route once, before the work: no name ending in
-``_LIMIT`` is read inside a loop or a comprehension.
+``_LIMIT`` is read inside a loop or a comprehension.  A price computed by a
+loop may stop early at its limit, read once into a local before the loop;
+the check that refuses comes after the loop.
 
 The estimators take the graph, the cycle length ``k`` for cycles, the
 budget, the seed, the mode and a keyword-only trial, and nothing else: a new

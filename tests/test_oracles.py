@@ -71,31 +71,31 @@ def test_cycles_guards():
 def test_partial_path_guard_trips_on_every_walker_route(monkeypatch):
     g = complete_graph(6)
     assert count_cycles(g, 4) == 45 and count_paths(g, 3) == 180
-    # both walk to depth 3: 30 + 150 + 750 walks
-    assert oracles._require_walks(g, 3, math.inf) == 930
+    # both walk to depth 3, priced at 30 + 150 + 600: the paths' exact steps
+    assert oracles._require_walks(g, 3) == 780 == walker_steps(g, 3, False)
 
     def walker_must_not_run(*args):
         raise AssertionError("walked before the price was checked")
 
     monkeypatch.setattr(oracles, "_simple_paths", walker_must_not_run)
-    monkeypatch.setattr(oracles, "WALK_LIMIT", 929)
+    monkeypatch.setattr(oracles, "WALK_LIMIT", 779)
     for count in (
         lambda: enumerate_cycles(g, 4),
         lambda: count_cycles(g, 4),
         lambda: count_paths(g, 3),
         lambda: count_monotone_cycles(g, 4),
     ):
-        with pytest.raises(ResourceLimitError, match="WALK_LIMIT=929 "):
+        with pytest.raises(ResourceLimitError, match="WALK_LIMIT=779 "):
             count()
     monkeypatch.undo()
-    monkeypatch.setattr(oracles, "WALK_LIMIT", 930)
+    monkeypatch.setattr(oracles, "WALK_LIMIT", 780)
     assert count_cycles(g, 4) == 45 and count_paths(g, 3) == 180
 
 
 def test_walk_guard_refuses_er60_at_k9_in_milliseconds():
     # the step counter it replaced raised only after 32 s of walking
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match="walks exceed WALK_LIMIT=1000000000 "):
+    with pytest.raises(ResourceLimitError, match="walks exceed WALK_LIMIT=100000000 "):
         count_cycles(gen_er(60, 0.5, seed=1), 9)
     assert time.perf_counter() - start < 1.0
 
@@ -109,10 +109,10 @@ WALKER_ROUTES = [
 
 @pytest.mark.parametrize("graph", ROSTER + [complete_graph(3)], ids=ROSTER_IDS + ["K3"])
 def test_walk_bound_covers_the_walker_steps(monkeypatch, graph):
-    # Each route prices the walk it runs, and the walks of 1..depth edges
-    # bound the steps of the walker with its old counter.  On K3 the paths
-    # of 3 edges need the third level: the walks of 1 and 2 edges are 18,
-    # the steps 30.  Cases priced above 3e5 take too long to step through.
+    # Each route prices the walk it runs, and the price bounds the steps of
+    # the walker with its old counter.  On K3 the paths of 3 edges need the
+    # third level: the price to 2 edges is 18, the steps 30.  Cases priced
+    # above 3e5 take too long to step through.
     calls = []
     monkeypatch.setattr(
         oracles,
@@ -125,21 +125,37 @@ def test_walk_bound_covers_the_walker_steps(monkeypatch, graph):
     monkeypatch.setattr(
         oracles,
         "_require_walks",
-        lambda g, depth, limit: priced.append((depth, limit)) or price(g, depth, limit),
+        lambda g, depth: priced.append(depth) or price(g, depth),
     )
     stepped = 0
     for route, k in WALKER_ROUTES:
         route(graph, k)
         (edges, rising), priced_at = calls.pop(), priced.pop()
-        assert priced_at == (edges, oracles.WALK_LIMIT)
-        bound = price(graph, edges, math.inf)
+        assert priced_at == edges
+        bound = price(graph, edges)
         if bound <= 3e5:
             assert walker_steps(graph, edges, rising) <= bound, (route.__name__, k)
             stepped += 1
     assert stepped >= 6
     if graph.n == 3:
-        assert walker_steps(graph, 3, False) == 30
-        assert price(graph, 2, math.inf) == 18 < 30 <= price(graph, 3, math.inf)
+        assert walker_steps(graph, 3, False) == 30 == price(graph, 3)
+        assert price(graph, 2) == 18
+
+
+def test_walk_limit_holds_the_tightest_route_under_a_minute():
+    # Paths of 2 edges walk exactly their price, 2m + sum of d^2, so there
+    # WALK_LIMIT is the step cap itself.  Timed near a price of 1e6, the
+    # fastest of 3 runs, scaled to the limit, is 17-28 s on a 2-vCPU guest.
+    g = gen_er(2000, 0.01, seed=1)
+    price = oracles._require_walks(g, 2)
+    assert walker_steps(g, 2, False) == price == 2 * g.m + (g.degrees**2).sum()
+
+    def seconds():
+        start = time.perf_counter()
+        count_paths(g, 2)
+        return time.perf_counter() - start
+
+    assert min(seconds() for _ in range(3)) / price * oracles.WALK_LIMIT < 60
 
 
 def test_paths_known():
