@@ -169,10 +169,11 @@ def _k5_user_sum(i: int, below, above, ahat: np.ndarray, scratch=None) -> float:
     total = 0.0
     for j, kappa, rows, cells in _k5_pair_masks(i, below, above, *masks):
         grid = weights[rows]
-        # Â is symmetric, so its contiguous row kappa is column kappa;
-        # broadcasting it, then scaling rows, beats np.multiply.outer
-        np.copyto(grid, ahat[kappa])
-        grid *= ahat[j, rows, None]
+        # Â is symmetric, so its contiguous row kappa is column kappa.  einsum's
+        # outer product beats broadcasting and np.multiply.outer; it writes a
+        # -0.0 product as +0.0, which moves no sum with a nonzero term, and
+        # the total starts at +0.0
+        np.einsum("i,j->ij", ahat[j, rows], ahat[kappa], out=grid)
         grid *= ahat[rows]
         total += float(grid[cells].sum())
     return total

@@ -16,7 +16,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -64,6 +64,20 @@ def _check_component(p) -> None:
         raise ValidationError(f"path components must be integers or strings, got {p!r}")
 
 
+# Hashed heads (every component but the last) of derivation paths, least
+# recently used out.  An estimate walks one head per stage, (seed, trial,
+# stage), so each running trial keeps one live; 256 covers far more threads
+# than a host has cores, at about 0.5 KiB a head (tracemalloc), and an
+# evicted head is only hashed again.
+_HEADS = 256
+
+
+@lru_cache(maxsize=_HEADS, typed=True)
+def _head(*head) -> hashlib.blake2b:
+    """blake2b state that has absorbed "p0|p1|...", a path's head; copy, never update."""
+    return hashlib.blake2b("|".join(map(str, head)).encode(), digest_size=8)
+
+
 def derive_seed(master: int, *path: int | str) -> int:
     """64-bit seed for a derivation path: blake2b over "master|p0|p1|...".
 
@@ -71,17 +85,18 @@ def derive_seed(master: int, *path: int | str) -> int:
     strings, taken verbatim; a string may neither contain '|' nor be spelled
     like an integer.  The rendering is then one-to-one, so distinct paths
     collide only with hash probability.  Anything else raises
-    ValidationError.
+    ValidationError, checked before the cached state of the path's head
+    is read: BLAKE2 absorbs in order, so a copy of that state, given "|"
+    and the last component, digests the whole text.
     """
-    h = hashlib.blake2b(digest_size=8)
     if type(master) is not int:
         _check_component(master)
-    h.update(str(master).encode())
     for p in path:
         if type(p) is not int:  # the hot path passes plain ints
             _check_component(p)
-        h.update(b"|")
-        h.update(str(p).encode())
+    h = _head(master, *path[:-1]).copy()
+    if path:
+        h.update(b"|" + str(path[-1]).encode())
     return int.from_bytes(h.digest(), "little")
 
 
@@ -106,9 +121,16 @@ class _FixedKey(ISeedSequence):
         return np.array([self.key, 0], dtype=np.uint64)
 
 
+# Philox's starting counter, shared by every stream: numpy copies it, and an
+# array skips the conversion of the int 0 that ``counter=None`` costs per stream.
+_COUNTER = np.zeros(4, dtype=np.uint64)
+_COUNTER.flags.writeable = False
+
+
 def substream(master: int, *path: int | str) -> np.random.Generator:
     """Independent generator for a derivation path (counter-based Philox)."""
-    return np.random.Generator(np.random.Philox(_FixedKey(derive_seed(master, *path))))
+    key = _FixedKey(derive_seed(master, *path))
+    return np.random.Generator(np.random.Philox(key, counter=_COUNTER))
 
 
 def as_uniforms(u, shape: tuple[int, ...]) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .documents import Document
 from .errors import ResourceLimitError, ValidationError
-from .graphs import Graph, require_integer
+from .graphs import Graph, require_edge_count, require_integer
 
 # The price is never below the walker's steps, and equals them on paths of 1-2
 # edges, at 1.7e-7 to 6.5e-7 s a step (ER, mean degree 30 down to 2): 1e8, the
@@ -26,11 +26,23 @@ MAX_CYCLE_LENGTH = 9
 def count_triangles(graph: Graph) -> int:
     """Number of triangles, one count per vertex set."""
     u, v = graph.edges.T  # sorted by u: each node's higher neighbors are a run of v
-    heads = v.tolist()
-    ends = np.searchsorted(u, np.arange(graph.n + 1)).tolist()
-    above = [set(heads[a:b]) for a, b in zip(ends, ends[1:])]
+    heads, tails = v.tolist(), u.tolist()
+    starts = np.flatnonzero(np.diff(u, prepend=-1)).tolist()  # only nodes with a run
+    runs = zip(starts, [*starts[1:], len(heads)])
+    above = {tails[a]: set(heads[a:b]) for a, b in runs}
     # each triangle {a<b<c} is counted once, at (a, b): c is above both
-    return sum(len(s & above[b]) for s in above for b in s)
+    return sum(len(s & above[b]) for s in above.values() for b in s if b in above)
+
+
+def _linked(graph: Graph) -> tuple[list[int], Graph]:
+    """The nodes with edges, ascending, and the graph over their positions.
+
+    A position keeps the order of its id, so a walk that compares ids walks
+    the same over positions, and an isolated node costs it nothing.
+    """
+    require_edge_count(graph.m)  # the same edges, renamed
+    nodes, positions = np.unique(graph.edges, return_inverse=True)
+    return nodes.tolist(), Graph.from_edges(len(nodes), positions.reshape(-1, 2))
 
 
 def _require_walks(graph: Graph, depth: int) -> float:
@@ -69,7 +81,8 @@ def _simple_paths(graph: Graph, edges: int, rising: bool) -> Iterator[list[int]]
     """Yield every simple path with ``edges`` edges, start vertex ascending.
 
     With ``rising`` every later vertex must exceed the start.  The yielded
-    list is the walker's own and changes as it goes on.  Callers price it first.
+    list is the walker's own and changes as it goes on.  Callers price it
+    first, and pass the graph of ``_linked``.
     """
     adj = [graph.row(u).tolist() for u in range(graph.n)]  # once per call
     on_path = bytearray(graph.n)
@@ -110,9 +123,14 @@ def enumerate_cycles(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
             f"cycle length {k} exceeds the desk-scale cap of {MAX_CYCLE_LENGTH}"
         )
     _require_walks(graph, k - 1)
-    closes = [set(graph.row(u).tolist()) for u in range(graph.n)]
-    paths = _simple_paths(graph, k - 1, rising=True)
-    return (tuple(p) for p in paths if p[1] < p[-1] and p[0] in closes[p[-1]])
+    nodes, linked = _linked(graph)
+    closes = [set(linked.row(u).tolist()) for u in range(linked.n)]
+    paths = _simple_paths(linked, k - 1, rising=True)
+    return (
+        tuple(map(nodes.__getitem__, p))
+        for p in paths
+        if p[1] < p[-1] and p[0] in closes[p[-1]]
+    )
 
 
 def count_cycles(graph: Graph, k: int) -> int:
@@ -126,7 +144,7 @@ def count_paths(graph: Graph, k: int) -> int:
     if k < 1:
         raise ValidationError(f"path edge count must be >= 1, got {k}")
     _require_walks(graph, k)
-    paths = _simple_paths(graph, k, rising=False)
+    paths = _simple_paths(_linked(graph)[1], k, rising=False)
     return sum(1 for path in paths if path[0] < path[-1])
 
 

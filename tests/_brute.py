@@ -17,17 +17,21 @@ per-row RR loop that the library's block-wise flips reproduce.
 ``_graph_from_edge_set`` is the set-and-lists build whose arrays the
 library's one sorted-key constructor reproduces (``assert_same_graph``), and
 ``has_edge`` reads an edge off a row.
-``_substream_key_route`` builds each stream the way numpy documents,
-``Philox(key=...)``, whose state and draws the library's entropy-free
-``substream`` reproduces bit for bit.  ``_gen_ba_integers`` is preferential
-attachment with one ``Generator.integers`` call per draw, whose graphs the
-library's raw-stream ``gen_ba`` reproduces, and ``_gen_ktree_tuples`` the
-random k-tree grown from lists of edge and clique tuples, whose graphs the
-library's array ``gen_ktree`` reproduces.  ``walker_steps`` is the oracle's
-simple-path walker with the step counter it once checked in its loop; the
-library's walk bound must cover its count.  Only usable at tiny sizes.
+``derive_seed_one_shot`` hashes a derivation path's whole text in one
+blake2b call, the digest the library's cached-head ``derive_seed``
+reproduces, and ``_substream_key_route`` builds each stream from it the way
+numpy documents, ``Philox(key=...)``, whose state and draws the library's
+entropy-free ``substream`` reproduces bit for bit.  ``_gen_ba_integers`` is
+preferential attachment with one ``Generator.integers`` call per draw, whose
+graphs the library's raw-stream ``gen_ba`` reproduces, and
+``_gen_ktree_tuples`` the random k-tree grown from lists of edge and clique
+tuples, whose graphs the library's array ``gen_ktree`` reproduces.
+``walker_steps`` is the oracle's simple-path walker with the step counter it
+once checked in its loop; the library's walk bound must cover its count.
+Only usable at tiny sizes.
 """
 
+import hashlib
 from itertools import combinations, permutations
 
 import numpy as np
@@ -35,7 +39,6 @@ import numpy as np
 from ldpcount import (
     Graph,
     ValidationError,
-    derive_seed,
     randomize_response_row,
     unbias,
 )
@@ -248,9 +251,15 @@ def _fork_sum_ix(i: int, projected_row, unbiased: np.ndarray) -> float:
     return float(unbiased[np.ix_(below, above)].sum())
 
 
+def derive_seed_one_shot(master, *path) -> int:
+    """blake2b over the whole text "master|p0|p1|...", in one call; no checks."""
+    text = "|".join(map(str, (master, *path))).encode()
+    return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "little")
+
+
 def _substream_key_route(master: int, *path) -> np.random.Generator:
     """The derivation path's stream through ``Philox(key=...)``."""
-    return np.random.Generator(np.random.Philox(key=derive_seed(master, *path)))
+    return np.random.Generator(np.random.Philox(key=derive_seed_one_shot(master, *path)))
 
 
 def _gen_ba_integers(n: int, m0: int, seed: int) -> Graph:

@@ -126,6 +126,19 @@ def test_substream_golden_draws():
     ]
 
 
+def test_the_shared_zero_counter_survives_earlier_streams():
+    counter = mechanisms._COUNTER
+    assert counter.dtype == np.uint64 and not counter.flags.writeable
+    with pytest.raises(ValueError):
+        counter[0] = 1
+    for user in range(2000):  # each stream advances its own copy of the counter
+        rng = substream(3, 1, 1, user)
+        rng.random(8)
+        assert rng.bit_generator.state["state"]["counter"][0] > 0
+    assert counter.tolist() == [0, 0, 0, 0]
+    test_substream_golden_draws()
+
+
 def test_gen_graph_then_stats(tmp_path, capsys):
     path = tmp_path / "g.el"
     code, out, _ = run_cli(capsys, "gen-graph", "--gen", "ba:50:2", "--seed", "3",

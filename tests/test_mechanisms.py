@@ -43,6 +43,7 @@ from _brute import (
     _assemble_bits_lower_plus_transpose,
     _substream_key_route,
     _unbiased_one_shot,
+    derive_seed_one_shot,
 )
 
 INF = math.inf
@@ -512,6 +513,57 @@ def test_derive_seed_rejects_a_component_that_is_no_integer_or_string(bad):
 
 def test_derive_seed_takes_numpy_integers_as_their_value():
     assert derive_seed(np.int64(3), np.uint8(1), np.int32(-2)) == derive_seed(3, 1, -2)
+
+
+DERIVATION_PATHS = [
+    (0,),
+    (-7,),
+    (2**70,),
+    (np.int64(5),),
+    ("x",),
+    (0, 0, 2, 7),
+    (0, 0, 2, 70),  # the head of (0, 0, 2, 7), whose last component prefixes 70
+    (0, 0, 27),
+    (31, 4, 1, 399),
+    (np.int64(3), np.uint8(1), np.int32(-2)),
+    (3, 1, -2),
+    (5, "graph"),
+    (5, "size", 2),
+    (-1, "ordering", np.int16(4)),
+    ("run", "a-1", 0, "b"),
+    (9, 1, 2, 3, 4, 5, 6, 7),
+]
+
+
+def test_derive_seed_cached_heads_match_the_one_shot_hash():
+    mechanisms._head.cache_clear()
+    for _ in range(2):  # a cold cache, then every head cached
+        for path in DERIVATION_PATHS:
+            assert derive_seed(*path) == derive_seed_one_shot(*path), path
+    # interleaved stages and trials, as concurrent estimates draw them
+    for user in range(40):
+        for trial in (0, 1, 2**40):
+            for stage in STAGES:
+                path = (17, trial, stage, user)
+                assert derive_seed(*path) == derive_seed_one_shot(*path)
+    # twice the cache in distinct heads, so each head is evicted before reuse
+    heads = [(23, t, s) for t in range(mechanisms._HEADS) for s in (0, 1)]
+    before = mechanisms._head.cache_info()
+    for _ in range(2):
+        for head in heads:
+            assert derive_seed(*head, 5) == derive_seed_one_shot(*head, 5)
+    after = mechanisms._head.cache_info()
+    assert after.misses - before.misses == 2 * len(heads)
+    assert after.currsize == after.maxsize == mechanisms._HEADS
+
+
+@pytest.mark.parametrize("bad", [True, np.bool_(True), "1", [1], None, b"1"])
+def test_derive_seed_checks_each_component_before_the_cached_head(bad):
+    for path in [(0, 1, 5), (1, 5), (0, 1, 1)]:  # every int twin cached first
+        derive_seed(*path)
+    for path in [(0, bad, 5), (bad, 5), (0, 1, bad)]:
+        with pytest.raises(ValidationError):
+            derive_seed(*path)
 
 
 def assert_same_generator(a, b):

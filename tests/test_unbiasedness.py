@@ -5,10 +5,13 @@ With the ordering and projection fixed (eps0 = inf and zeta = 1, so no user
 is clipped), the expectation of an estimate over RR is a finite sum: every
 outcome, weighted by its probability, through the production per-user sums.
 Unbiasedness is then an equality to rounding, with no statistical slack.
+Past n = 6 the outcomes are too many, and each user's sum is checked
+instead to be affine in every single unbiased entry.
 """
 
 import math
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -93,3 +96,41 @@ def test_triangle_rr_variance_is_the_sum_of_squared_fork_counts(spec, eps1):
     predicted = float((counts**2).sum()) * unbias_variance(eps1)
     _, variance = rr_moments(graph, eps1, user_triangle_estimate)
     assert variance == pytest.approx(predicted, rel=1e-9)
+
+
+# At graph seed 1, er:8:0.5 holds 6 triangles, 19 five-cycles and 26
+# seven-cycles; C7 needs n >= 7, and 2^28 RR outcomes are too many to sum.
+AFFINE_GRAPH = make_graph("er:8:0.5", 1)
+USER_SUMS = {
+    3: user_triangle_estimate,
+    5: lambda i, row, obf: user_cycle_estimate(i, row, obf, 5),
+    7: lambda i, row, obf: user_cycle_estimate(i, row, obf, 7),
+}
+
+
+@pytest.mark.parametrize("k", sorted(USER_SUMS))
+def test_each_user_sum_is_affine_in_every_single_unbiased_entry(k):
+    # Hold Â at random values and set one pair's entry to three equally
+    # spaced values: each user's sum has a zero second difference.  Every
+    # product then takes each entry at most once, so with independent
+    # unbiased entries and no-noise exactness, E = count.
+    graph = AFFINE_GRAPH
+    exact = {3: count_triangles(graph), 5: count_cycles(graph, 5), 7: count_cycles(graph, 7)}
+    assert exact == {3: 6, 5: 19, 7: 26}
+    stage = run_ordered_stage(graph, PrivacyBudget(INF, INF, INF, 1.0), 0, 0)
+    assert [len(row) for row in stage.projected] == stage.obf.bits.sum(1).tolist()
+    held = np.triu(np.random.default_rng(k).normal(size=(graph.n, graph.n)), 1)
+    held += held.T
+    user_sum, moved = USER_SUMS[k], 0
+    for j, l in combinations(range(graph.n), 2):
+        sums = []
+        for value in (-1.5, 0.25, 2.0):
+            ahat = held.copy()
+            ahat[j, l] = ahat[l, j] = value
+            obf = SimpleNamespace(unbiased=ahat)  # the user sums read Â alone
+            sums.append([user_sum(i, row, obf) for i, row in enumerate(stage.projected)])
+        f0, f1, f2 = np.array(sums)
+        scale = np.abs(f0) + 2 * np.abs(f1) + np.abs(f2)
+        assert np.all(np.abs(f0 - 2 * f1 + f2) <= 1e-12 * scale), (j, l)
+        moved += np.count_nonzero(f0 != f2)
+    assert moved >= exact[k]  # a counted cycle moves its user's sum with its fork entry
