@@ -31,8 +31,8 @@ from .protocol import (
 
 PATH_TUPLE_LIMIT = 10**9
 # Dense bytes per cell of the k=5 route at its traced peak: the RR bits 1,
-# the unbiased matrix 8, _k5_scratch 11 and a pair's gathered cells up to 8.
-K5_BYTES_PER_CELL = 28
+# the unbiased matrix 8, _k5_scratch 9 and a pair's gathered cells up to 8.
+K5_BYTES_PER_CELL = 26
 # Cells of one path-extension grid; a larger frontier is split into row blocks.
 _BLOCK_CELLS = 1 << 16
 
@@ -119,42 +119,44 @@ def _admissible_sum(i: int, below, above, k: int, ahat) -> float:
     return total
 
 
-def _k5_scratch(n: int) -> tuple[np.ndarray, ...]:
-    """The n x n buffers of ``_k5_user_sum``: weights, user, fork and pair masks.
+def _k5_scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n x n buffers of ``_k5_user_sum``: the weights and the mask.
 
     Reusing them across users keeps an estimate from allocating, and
     refaulting, n^2 blocks per user.
     """
-    return np.empty((n, n)), *(np.empty((n, n), dtype=bool) for _ in range(3))
+    return np.empty((n, n)), np.empty((n, n), dtype=bool)
 
 
-def _k5_pair_masks(i: int, below, above, user, fork, pair):
+def _k5_pair_masks(i: int, below, above, mask):
     """Yield (j, kappa, rows, cells): fork pair (j, kappa)'s (l2, l3) mask.
 
     For j < i < kappa the distinctness and ``admissible`` rules of the cycle
     (i, j, l2, l3, kappa) reduce to a closed form: l2 > j, l2 not in
     {i, kappa}, l3 not in {i, j, kappa}, l2 != l3, and l3 < l2 or l2 > i.
-    ``user`` gets the clauses free of j and kappa, once; ``fork`` its rows
-    l2 > j, those ``rows``, with column j cleared, once per j; ``cells`` is
-    ``pair[rows]``, with row and column kappa cleared too.  Rows l2 <= j
-    hold no masked cell, so they are left out.
+    ``mask`` gets the clauses free of j and kappa, once; ``cells`` is its
+    rows l2 > j, those ``rows``, narrowed in place: column j cleared once per
+    j, row and column kappa once per pair, each restored after use.  Rows
+    l2 <= j hold no masked cell, so they are left out.
     """
-    n = user.shape[0]
+    n = mask.shape[0]
     ids = np.arange(n)
-    np.greater(ids[:, None], ids, out=user)  # l3 < l2
-    user[i] = False  # l2 != i
-    user[i + 1 :] = True  # or l2 > i
-    user[:, i] = False  # l3 != i
-    np.fill_diagonal(user, False)  # l2 != l3
+    np.greater(ids[:, None], ids, out=mask)  # l3 < l2
+    mask[i] = False  # l2 != i
+    mask[i + 1 :] = True  # or l2 > i
+    mask[:, i] = False  # l3 != i
+    np.fill_diagonal(mask, False)  # l2 != l3
     for j in below:
         rows = slice(j + 1, n)
-        forked, cells = fork[rows], pair[rows]
-        np.copyto(forked, user[rows])
-        forked[:, j] = False
+        cells = mask[rows]
+        column_j = cells[:, j].copy()
+        cells[:, j] = False
         for kappa in above:
-            np.copyto(cells, forked)
+            row, column = cells[kappa - j - 1].copy(), cells[:, kappa].copy()
             cells[kappa - j - 1] = cells[:, kappa] = False
             yield j, kappa, rows, cells
+            cells[kappa - j - 1], cells[:, kappa] = row, column
+        cells[:, j] = column_j
 
 
 def _k5_user_sum(i: int, below, above, ahat: np.ndarray, scratch=None) -> float:
@@ -165,9 +167,9 @@ def _k5_user_sum(i: int, below, above, ahat: np.ndarray, scratch=None) -> float:
     pairwise ``sum``; pair totals are added from 0.0 in below x above order.
     ``scratch`` is ``_k5_scratch(n)``; without it the call allocates its own.
     """
-    weights, *masks = _k5_scratch(ahat.shape[0]) if scratch is None else scratch
+    weights, mask = _k5_scratch(ahat.shape[0]) if scratch is None else scratch
     total = 0.0
-    for j, kappa, rows, cells in _k5_pair_masks(i, below, above, *masks):
+    for j, kappa, rows, cells in _k5_pair_masks(i, below, above, mask):
         grid = weights[rows]
         # Â is symmetric, so its contiguous row kappa is column kappa.  einsum's
         # outer product beats broadcasting and np.multiply.outer; it writes a

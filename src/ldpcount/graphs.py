@@ -372,32 +372,28 @@ def petersen_graph() -> Graph:
     return Graph.from_edges(10, np.array(edges))
 
 
-def degeneracy(graph: Graph) -> tuple[int, list[int]]:
-    """Min-degree peeling.
+def degeneracy(graph: Graph) -> int:
+    """Min-degree peeling: the largest induced min-degree ever removed.
 
-    Returns the degeneracy (largest induced min-degree ever removed) and the
-    removal order.  Lazy-deletion heap keyed (degree, node id), so the order
-    is deterministic.
+    Lazy-deletion heap keyed (degree, node id).  A node of degree 0 would peel
+    first and lower no neighbour, so only the nodes with edges enter the heap.
     """
-    n = graph.n
     deg = graph.degrees.tolist()
-    heap = [(d, i) for i, d in enumerate(deg)]
+    heap = [(d, i) for i, d in enumerate(deg) if d]
     heapq.heapify(heap)
-    removed = [False] * n
-    order: list[int] = []
+    removed = [False] * graph.n
     delta = 0
     while heap:
         d, u = heapq.heappop(heap)
         if removed[u] or d != deg[u]:
             continue
         removed[u] = True
-        order.append(u)
         delta = max(delta, d)
         for v in graph.row(u).tolist():  # each row is read once, at its removal
             if not removed[v]:
                 deg[v] -= 1
                 heapq.heappush(heap, (deg[v], v))
-    return delta, order
+    return delta
 
 
 def require_permutation(phi, n: int) -> np.ndarray:
@@ -432,7 +428,7 @@ class GraphStats(Document):
 def graph_stats(graph: Graph) -> GraphStats:
     """Exact size, degree, degeneracy and edge-minimum-degree statistics."""
     d = graph.degrees
-    delta, _ = degeneracy(graph)
+    delta = degeneracy(graph)
     chiba = int(np.minimum(d[graph.edges[:, 0]], d[graph.edges[:, 1]]).sum())
     return GraphStats(
         n=graph.n,

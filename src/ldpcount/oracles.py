@@ -48,17 +48,17 @@ def _linked(graph: Graph) -> tuple[list[int], Graph]:
 def _require_walks(graph: Graph, depth: int) -> float:
     """A bound on the walker's steps to ``depth`` edges; refused past WALK_LIMIT.
 
+    ``graph`` is the walker's own, from ``_linked``: every node has edges.
+
     Each step scans a neighbor of the end of a simple path of t < depth
     edges: 2m steps from the one-node paths.  From the S_t paths of t >= 1
     edges there are at most S_t*dmax, and at most S_t backtracks plus the
     non-backtracking walks of t + 1 edges, x_{t+1} = A x_t - (d - [t > 1]) x_{t-1}.
     S_t is at most those walks of t edges, and at most S_{t-1}*min(dmax - 1,
-    nodes - t) over the non-isolated nodes.  The levels stop once S_t is 0
-    or the total passes the limit.
+    nodes - t).  The levels stop once S_t is 0 or the total passes the limit.
     """
-    nodes, ends = np.unique(graph.edges, return_inverse=True)
-    u, w, size = *ends.reshape(-1, 2).T, len(nodes)
-    deg = np.bincount(ends.ravel(), minlength=size).astype(float)
+    u, w, size = *graph.edges.T, graph.n
+    deg = graph.degrees.astype(float)
     top, limit = deg.max(initial=0.0), WALK_LIMIT
     back, walks = np.ones(size), deg  # non-backtracking walks of t - 1 and t edges
     total = paths = walks.sum()  # the one-node paths' steps; S_1 = 2m
@@ -122,8 +122,8 @@ def enumerate_cycles(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
         raise ResourceLimitError(
             f"cycle length {k} exceeds the desk-scale cap of {MAX_CYCLE_LENGTH}"
         )
-    _require_walks(graph, k - 1)
     nodes, linked = _linked(graph)
+    _require_walks(linked, k - 1)
     closes = [set(linked.row(u).tolist()) for u in range(linked.n)]
     paths = _simple_paths(linked, k - 1, rising=True)
     return (
@@ -143,8 +143,9 @@ def count_paths(graph: Graph, k: int) -> int:
     k = require_integer(k, "path edge count")
     if k < 1:
         raise ValidationError(f"path edge count must be >= 1, got {k}")
-    _require_walks(graph, k)
-    paths = _simple_paths(_linked(graph)[1], k, rising=False)
+    linked = _linked(graph)[1]
+    _require_walks(linked, k)
+    paths = _simple_paths(linked, k, rising=False)
     return sum(1 for path in paths if path[0] < path[-1])
 
 

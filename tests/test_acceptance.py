@@ -210,7 +210,7 @@ def test_criterion_7_deterministic_bounds():
         "K5": (complete_graph(5), 4),
         "Petersen": (petersen_graph(), 3),
     }
-    deg_ok = all(degeneracy(g)[0] == want for g, want in quartet.values())
+    deg_ok = all(degeneracy(g) == want for g, want in quartet.values())
 
     roster = [g for g, _ in quartet.values()]
     roster += [

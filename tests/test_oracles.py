@@ -11,6 +11,7 @@ from ldpcount import (
     ValidationError,
     complete_graph,
     cycle_graph,
+    degeneracy,
     exact_counts,
     gen_ba,
     gen_er,
@@ -206,7 +207,7 @@ def test_counters_match_brute_force_on_random_graphs(seed):
 
 
 @pytest.mark.parametrize("graph", ROSTER + [complete_graph(3)], ids=ROSTER_IDS + ["K3"])
-def test_isolated_nodes_change_no_count(graph):
+def test_isolated_nodes_change_no_count(monkeypatch, graph):
     # ids spread over 3n + 2 nodes: an isolated node before, between and
     # after every node with edges
     spread = Graph.from_edges(3 * graph.n + 2, 3 * graph.edges.astype(np.int64) + 1)
@@ -219,6 +220,18 @@ def test_isolated_nodes_change_no_count(graph):
         assert count_paths(spread, k) == count_paths(graph, k)
     for length in (4, 6):
         assert count_monotone_cycles(spread, length) == count_monotone_cycles(graph, length)
+    assert degeneracy(spread) == degeneracy(graph)
+    # every walker route prices the same walk, to the bit
+    priced, price = [], oracles._require_walks
+    monkeypatch.setattr(oracles, "_simple_paths", lambda *args, rising: iter(()))
+    monkeypatch.setattr(oracles, "WALK_LIMIT", math.inf)
+    monkeypatch.setattr(
+        oracles, "_require_walks", lambda g, depth: priced.append(price(g, depth))
+    )
+    for g in (graph, spread):
+        for route, k in WALKER_ROUTES:
+            route(g, k)
+    assert priced[: len(WALKER_ROUTES)] == priced[len(WALKER_ROUTES) :]
 
 
 def test_oracles_do_no_work_per_isolated_node():
@@ -327,9 +340,7 @@ def test_ordered_structure_constants_reported():
     g = gen_ba(200, 2, seed=4)
     ordering = get_ordering(g, 1.0, np.random.default_rng(0).random(g.n))
     h = apply_ordering(g, ordering)
-    from ldpcount import degeneracy
-
-    delta = degeneracy(g)[0]
+    delta = degeneracy(g)
     n = g.n
     c_s2 = count_low2stars(h) / (delta**2 * n)
     c_c4 = count_monotone_cycles(h, 4) / (delta**3 * n)
