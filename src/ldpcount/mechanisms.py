@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import re
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -40,9 +43,23 @@ DENSE_BYTES_LIMIT = MEMORY_BUDGET
 # cache while their transpose is read.
 _PANEL = 256
 
-# Cells of the RR flip buffer: users are compared into it a block of
-# max(1, _CELLS // n) rows at a time and XORed into the bits once per block.
+# Cells of the RR flip buffers, shared by the P row parts: each part's
+# users are compared into its buffer a block of max(1, _CELLS // (n * P))
+# rows at a time and XORed into the bits once per block.
 _CELLS = 2**18
+
+# Cells per row part of a dense server layer: a layer of C cells runs in
+# max(1, min(cores, C // _PART_CELLS)) parts, one per core at most.  On a
+# 2-vCPU guest two parts paid for unbiasing from 1.4M cells, for the mirror
+# from 2M, and for RR, whose draws contend for the interpreter lock with
+# the stream building on the calling thread, only from about 8M: at 2**22
+# no layer splits below the size where its split paid.
+_PART_CELLS = 2**22
+
+# Cores this process may run on, read once at import.
+_CORES = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 # Largest eps whose exp is finite; above it unbias takes its eps=inf limit.
 _MAX_EXP_ARG = math.log(sys.float_info.max)
@@ -210,16 +227,25 @@ def randomize_response_row(bits, eps: float, u=None):
     return np.bitwise_xor(bits, flip.astype(np.uint8))
 
 
-def unbias(bit, eps: float):
+def unbias(bit, eps: float, out=None):
     """Affine correction making randomized bits unbiased edge estimates.
 
-    ``bit`` is a 0/1 scalar or an integer array; an array comes back as float64.
-    Once e^eps would overflow (eps=inf included) the limit ``bit`` is exact.
+    ``bit`` is a 0/1 scalar or an integer array; an array comes back as
+    float64, written into ``out`` (a float64 array of its shape) when given,
+    so that no temporary of that shape is made.  A scalar comes back as a
+    float.  Once e^eps would overflow (eps=inf included) the limit ``bit``
+    is exact.
     """
+    if out is None:
+        out = np.empty(np.shape(bit))
     if eps > _MAX_EXP_ARG:
-        return bit * 1.0
-    e = math.exp(eps)
-    return ((e + 1.0) * bit - 1.0) / (e - 1.0)
+        np.multiply(bit, 1.0, out=out)
+    else:
+        e = math.exp(eps)
+        np.multiply(bit, e + 1.0, out=out)
+        out -= 1.0
+        out /= e - 1.0
+    return out if out.ndim else float(out)
 
 
 def unbias_span(eps: float) -> float:
@@ -256,10 +282,14 @@ class ObfuscatedGraph:
     @cached_property
     def unbiased(self) -> np.ndarray:
         """Matrix of unbiased edge estimates, diagonal forced to zero."""
-        # Pass the uint8 bits: a float64 copy bound to unbias's parameter
-        # defeats numpy's temporary elision and adds an n*n float64 at peak.
-        a = unbias(self.bits, self.eps)
-        np.fill_diagonal(a, 0.0)
+        n = self.n
+        a = np.empty((n, n))
+
+        def rows(lo: int, hi: int) -> None:
+            unbias(self.bits[lo:hi], self.eps, out=a[lo:hi])
+            np.fill_diagonal(a[lo:hi, lo:hi], 0.0)
+
+        _run_parts(n * n, lambda f: round(n * f), rows)
         a.flags.writeable = False
         return a
 
@@ -276,15 +306,19 @@ def assemble_obfuscated(graph: Graph, eps: float, u_rows=None) -> ObfuscatedGrap
     """Mirror every user's randomized-response report into one symmetric matrix.
 
     User i reports i bits, bit j being edge (j, i), so each pair is reported
-    once.  At finite eps ``u_rows`` yields user i's i uniform draws for
-    i = 0..n-1; a generator keeps one row alive at a time.  Unused at eps=inf.
+    once.  At finite eps ``u_rows`` is a sequence of n rows (``len`` and
+    ``u_rows[i]``): row i is a callable, and ``row(i)`` returns user i's i
+    uniform draws (``protocol.SubstreamRows``, or a list).  Every row is
+    read on the calling thread and called on the thread that runs its
+    user's part, so a row that builds a stream when read hands over only
+    its draws.  Unused at eps=inf.
     """
     n = graph.n
     require_dense_bytes(n, 9)  # the bits 1 and the unbiased matrix 8
     bits = np.zeros((n, n), dtype=np.uint8)
     bits[graph.edges[:, 1], graph.edges[:, 0]] = 1
     if eps != INF:
-        _randomize_lower(bits, eps, iter(() if u_rows is None else u_rows))
+        _randomize_lower(bits, eps, () if u_rows is None else u_rows)
     _mirror_lower(bits)
     return ObfuscatedGraph(bits=bits, eps=eps)
 
@@ -297,23 +331,42 @@ def _randomize_lower(bits: np.ndarray, eps: float, rows) -> None:
     Buffer row r holds user lo + r, whose row is longer than that of any
     earlier user in row r, so its write covers every cell an earlier block
     set and the cells from i on stay False: the buffer needs no reset.
+    Users are split into parts of equal cells, each with its own buffer;
+    the buffers share the _CELLS budget.  A later part's rows are all read
+    before it is handed over; part 0 reads its own a block at a time, so
+    that the streams it builds hold the interpreter lock in few spells
+    (read row by row, they kept a worker waiting on every row).
     """
     require_eps("eps", eps)
     p_flip = 1.0 - rr_keep_probability(eps)
     n = bits.shape[0]
-    height = max(1, _CELLS // max(n, 1))
-    flips = np.zeros((min(height, n), n), dtype=bool)
-    for lo in range(0, n, height):
-        hi = min(lo + height, n)
-        for i in range(lo, hi):
-            try:
-                u = as_uniforms(next(rows, None), (i,))
-            except ValidationError as exc:
-                raise ValidationError(f"user {i}: {exc}") from None
-            np.less(u, p_flip, out=flips[i - lo, :i])
-        bits[lo:hi] ^= flips[: hi - lo].view(np.uint8)
-    if next(rows, None) is not None:
-        raise ValidationError(f"u_rows yields more than {n} rows, one per user")
+    if len(rows) > n:
+        raise ValidationError(f"u_rows holds more than {n} rows, one per user")
+    if len(rows) < n:
+        raise ValidationError(f"user {len(rows)}: a row of uniform draws is required at finite eps")
+    height = max(1, _CELLS // (max(n, 1) * _parts(n * n // 2)))
+
+    def users(lo: int, hi: int, held=None) -> None:
+        flips = np.zeros((min(height, hi - lo), n), dtype=bool)
+        for start in range(lo, hi, height):
+            stop = min(start + height, hi)
+            if held is None:
+                block = [rows[i] for i in range(start, stop)]
+            else:
+                block = held[start - lo : stop - lo]
+            for i, row in enumerate(block, start):
+                try:
+                    u = as_uniforms(row(i), (i,))
+                except ValidationError as exc:
+                    raise ValidationError(f"user {i}: {exc}") from None
+                np.less(u, p_flip, out=flips[i - start, :i])
+            bits[start:stop] ^= flips[: stop - start].view(np.uint8)
+
+    def hand_off(lo: int, hi: int) -> tuple:
+        return lo, hi, [rows[i] for i in range(lo, hi)]
+
+    # Row i holds i cells, so rows [0, r) hold about r*r/2 of them.
+    _run_parts(n * n // 2, lambda f: round(n * math.sqrt(f)), users, hand_off)
 
 
 def _mirror_lower(bits: np.ndarray) -> None:
@@ -323,13 +376,62 @@ def _mirror_lower(bits: np.ndarray) -> None:
     without reading the transpose one byte per cache line: each column
     panel [lo, hi) takes the transpose of the row panel below it, and the
     diagonal block adds its own transpose (numpy buffers the overlap).
+    Panels touch disjoint cells, so parts of whole panels run at once.
     """
     n = bits.shape[0]
-    for lo in range(0, n, _PANEL):
-        hi = min(lo + _PANEL, n)
-        bits[:lo, lo:hi] = bits[lo:hi, :lo].T
-        block = bits[lo:hi, lo:hi]
-        block += block.T
+
+    def panels(start: int, stop: int) -> None:
+        for lo in range(start, stop, _PANEL):
+            hi = min(lo + _PANEL, n)
+            bits[:lo, lo:hi] = bits[lo:hi, :lo].T
+            block = bits[lo:hi, lo:hi]
+            block += block.T
+
+    _run_parts(
+        n * n // 2, lambda f: min(n, _PANEL * math.ceil(n * math.sqrt(f) / _PANEL)), panels
+    )
+
+
+# Workers for the parts after the first; made on first use (_pool).
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> ThreadPoolExecutor:
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(_CORES - 1, "ldpcount-part")
+        return _POOL
+
+
+def _parts(cells: int) -> int:
+    """How many row parts a dense layer of ``cells`` cells runs in."""
+    return max(1, min(_CORES, cells // _PART_CELLS))
+
+
+def _run_parts(cells: int, cut, work, hand_off=lambda lo, hi: (lo, hi)) -> None:
+    """Run ``work`` over the consecutive row parts of a layer of ``cells`` cells.
+
+    There are P = _parts(cells) parts; part p spans rows
+    [cut(p / P), cut((p + 1) / P)), so ``cut`` maps 0 to the first row and
+    1 past the last.  Part 0 runs ``work(lo, hi)`` on the calling thread.
+    Each later part is first passed to ``hand_off(lo, hi)`` on the calling
+    thread, and the pool runs ``work`` on what it returns.  Parts must
+    write disjoint cells.  Once every part has finished, the first error
+    in part order is raised.
+    """
+    parts = _parts(cells)
+    cuts = [cut(p / parts) for p in range(parts + 1)]
+    rest = []
+    try:
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            rest.append(_pool().submit(work, *hand_off(lo, hi)))
+        work(cuts[0], cuts[1])
+    finally:
+        wait(rest)
+    for part in rest:
+        part.result()
 
 
 def project_mu(neighbors, cap: int):

@@ -58,6 +58,26 @@ def split_forks(row: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     return row[:cut], row[cut:]
 
 
+class SubstreamRows:
+    """Randomized-response rows of n users, one stream each, built when read.
+
+    Row i is ``substream(*head, i).random``, so ``row(i)`` returns user i's
+    i uniform draws: reading the row builds the stream on the reading
+    thread, and calling it only draws.
+    """
+
+    def __init__(self, n: int, *head: int | str):
+        self.n, self.head = n, head
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int):
+        if not 0 <= i < self.n:
+            raise IndexError(f"row {i} of {self.n}")
+        return substream(*self.head, i).random
+
+
 @dataclass(frozen=True)
 class EstimateReport(Document):
     """Outcome of one protocol run, JSON-serializable.
@@ -127,10 +147,7 @@ def run_ordered_stage(
     noisy_by_rank = np.empty(n, dtype=np.float64)
     noisy_by_rank[ordering.phi] = ordering.noisy_degrees
 
-    u_rows = None
-    if budget.eps1 != INF:
-        # lazy: all rows at once would be n*n/2 float64 draws
-        u_rows = (substream(seed, trial, STAGE_RR, i).random(i) for i in range(n))
+    u_rows = None if budget.eps1 == INF else SubstreamRows(n, seed, trial, STAGE_RR)
     obf = assemble_obfuscated(reordered, budget.eps1, u_rows)
 
     d_hat = clipped_degree(noisy_by_rank, budget.eps0, n, budget.zeta)

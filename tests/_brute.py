@@ -26,6 +26,8 @@ preferential attachment with one ``Generator.integers`` call per draw, whose
 graphs the library's raw-stream ``gen_ba`` reproduces, and
 ``_gen_ktree_tuples`` the random k-tree grown from lists of edge and clique
 tuples, whose graphs the library's array ``gen_ktree`` reproduces.
+``given_rows`` is a row source of fixed draws for ``assemble_obfuscated``
+and the RR reference, beside ``protocol.SubstreamRows``.
 ``walker_steps`` is the oracle's simple-path walker with the step counter it
 once checked in its loop; the library's walk bound must cover its count.
 Only usable at tiny sizes.
@@ -180,10 +182,14 @@ def _assemble_bits_lower_plus_transpose(graph: Graph, eps: float, u_rows):
     edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
     lower[edges[:, 1], edges[:, 0]] = 1
     if eps != float("inf"):
-        rows = iter(u_rows)
         for i in range(n):
-            lower[i, :i] = randomize_response_row(lower[i, :i], eps, next(rows))
+            lower[i, :i] = randomize_response_row(lower[i, :i], eps, u_rows[i](i))
     return lower + lower.T
+
+
+def given_rows(draws):
+    """Row source handing back fixed draws, one array per user."""
+    return [lambda size, u=u: u for u in draws]
 
 
 def _unbiased_one_shot(bits: np.ndarray, eps: float) -> np.ndarray:

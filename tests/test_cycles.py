@@ -26,7 +26,7 @@ from ldpcount import apply_ordering, cycles, derive_seed, get_ordering, make_gra
 from ldpcount.cycles import admissible
 from ldpcount.mechanisms import assemble_obfuscated
 from ldpcount.oracles import count_cycles, enumerate_cycles
-from ldpcount.protocol import split_forks
+from ldpcount.protocol import SubstreamRows, split_forks
 
 from _brute import (
     _admissible_sum_dfs,
@@ -39,8 +39,7 @@ INF = math.inf
 
 
 def _noisy_obf(graph, eps, seed):
-    u_rows = (substream(seed, "rr", i).random(i) for i in range(graph.n))
-    return assemble_obfuscated(graph, eps, u_rows)
+    return assemble_obfuscated(graph, eps, SubstreamRows(graph.n, seed, "rr"))
 
 
 # ------------------------------------------------------------ walk sum

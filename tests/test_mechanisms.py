@@ -1,5 +1,8 @@
 import math
 import pickle
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -28,7 +31,7 @@ from ldpcount import (
     unbias_span,
     unbias_variance,
 )
-from ldpcount import mechanisms
+from ldpcount import mechanisms, protocol, triangles
 from ldpcount.mechanisms import (
     STAGE_COUNT,
     STAGE_DEGREE,
@@ -38,12 +41,14 @@ from ldpcount.mechanisms import (
     laplace_quantile,
     rr_keep_probability,
 )
+from ldpcount.protocol import SubstreamRows
 
 from _brute import (
     _assemble_bits_lower_plus_transpose,
     _substream_key_route,
     _unbiased_one_shot,
     derive_seed_one_shot,
+    given_rows,
 )
 
 INF = math.inf
@@ -248,7 +253,7 @@ def test_assemble_symmetric_zero_diagonal():
     # for edge (j, i), randomized with user i's own draws
     g = gen_er(15, 0.4, seed=8)
     draws = [substream(3, "asm", i).random(i) for i in range(g.n)]
-    obf = assemble_obfuscated(g, 1.0, iter(draws))
+    obf = assemble_obfuscated(g, 1.0, given_rows(draws))
     edges = set(map(tuple, g.edges.tolist()))
     expected = np.zeros((g.n, g.n), dtype=np.uint8)
     for i in range(g.n):
@@ -264,14 +269,14 @@ def test_assemble_symmetric_zero_diagonal():
 def test_assemble_rejects_missing_rows():
     g = gen_er(6, 0.5, seed=1)
     draws = [np.full(i, 0.5) for i in range(g.n)]
-    assert assemble_obfuscated(g, 1.0, iter(draws)).n == 6
+    assert assemble_obfuscated(g, 1.0, given_rows(draws)).n == 6
     with pytest.raises(ValidationError, match="user 5: .*required"):
-        assemble_obfuscated(g, 1.0, iter(draws[:-1]))
+        assemble_obfuscated(g, 1.0, given_rows(draws[:-1]))
     with pytest.raises(ValidationError, match="more than 6 rows"):
-        assemble_obfuscated(g, 1.0, iter(draws + [np.full(6, 0.5)]))
+        assemble_obfuscated(g, 1.0, given_rows(draws + [np.full(6, 0.5)]))
     wrong = draws[:3] + [np.full(2, 0.5)] + draws[4:]
     with pytest.raises(ValidationError, match=r"user 3: .*shape \(3,\)"):
-        assemble_obfuscated(g, 1.0, iter(wrong))
+        assemble_obfuscated(g, 1.0, given_rows(wrong))
     with pytest.raises(ValidationError, match="user 0: .*required"):
         assemble_obfuscated(g, 1.0)
 
@@ -287,13 +292,126 @@ def test_panel_mirror_matches_lower_plus_transpose(n, eps):
     g = gen_er(n, 0.05, seed=n)
 
     def rows():
-        return (substream(11, "mirror", i).random(i) for i in range(n))
+        return SubstreamRows(n, 11, "mirror")
 
     obf = assemble_obfuscated(g, eps, rows())
     expected = _assemble_bits_lower_plus_transpose(g, eps, rows())
     assert obf.bits.dtype == np.uint8 and obf.bits.shape == (n, n)
     assert np.array_equal(obf.bits, expected)
     assert np.array_equal(obf.unbiased, _unbiased_one_shot(expected, eps))
+
+
+def _split(monkeypatch, parts):
+    """Run a dense layer of C cells in min(parts, C) row parts, on a new pool."""
+    monkeypatch.setattr(mechanisms, "_CORES", parts)
+    monkeypatch.setattr(mechanisms, "_PART_CELLS", 1)
+    monkeypatch.setattr(mechanisms, "_POOL", None)
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 8])
+@pytest.mark.parametrize("n", [0, 1, 2, P - 1, P + 1, 2 * P + 3])
+@pytest.mark.parametrize("eps", [0.7, INF])
+def test_bytes_do_not_depend_on_the_part_count(monkeypatch, parts, n, eps):
+    # 8 parts split a 2-user unbiased matrix into more parts than rows, and
+    # every mirror of n <= P into empty later parts.
+    _split(monkeypatch, parts)
+    g = gen_er(n, 0.05, seed=n)
+    obf = assemble_obfuscated(g, eps, SubstreamRows(n, 17, "parts"))
+    expected = _assemble_bits_lower_plus_transpose(g, eps, SubstreamRows(n, 17, "parts"))
+    assert np.array_equal(obf.bits, expected)
+    assert np.array_equal(obf.unbiased, _unbiased_one_shot(expected, eps))
+
+
+def test_parts_keep_their_bytes_when_threads_switch_every_microsecond(monkeypatch):
+    # more parts than a 2-core host has cores, handing the lock over often
+    _split(monkeypatch, 8)
+    n = 2 * P + 3
+    g = gen_er(n, 0.05, seed=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        obf = assemble_obfuscated(g, 0.7, SubstreamRows(n, 19, "switch"))
+        unbiased = obf.unbiased
+    finally:
+        sys.setswitchinterval(interval)
+    expected = _assemble_bits_lower_plus_transpose(g, 0.7, SubstreamRows(n, 19, "switch"))
+    assert np.array_equal(obf.bits, expected)
+    assert np.array_equal(unbiased, _unbiased_one_shot(expected, 0.7))
+
+
+def test_estimates_do_not_depend_on_the_part_count(monkeypatch):
+    g = gen_ba(40, 3, seed=2)
+    b = PrivacyBudget(0.5, 1.0, 1.0, 0.05)
+    docs = {}
+    for parts in (1, 3):
+        _split(monkeypatch, parts)
+        docs[parts] = [
+            estimate_triangles(g, b, seed=7).to_json_dict(),
+            estimate_odd_cycles(g, 5, b, seed=7).to_json_dict(),
+        ]
+    assert docs[1] == docs[3]
+
+
+def test_streams_are_built_on_the_caller(monkeypatch):
+    _split(monkeypatch, 3)
+    g = gen_ba(60, 3, seed=1)
+    caller = threading.get_ident()
+    built, drawn = [], set()
+
+    def recording_substream(*path):
+        built.append(threading.get_ident())
+        return substream(*path)
+
+    def recording_uniforms(u, shape):
+        drawn.add(threading.get_ident())
+        return as_uniforms(u, shape)
+
+    as_uniforms = mechanisms.as_uniforms
+    for module in (protocol, triangles):
+        monkeypatch.setattr(module, "substream", recording_substream)
+    monkeypatch.setattr(mechanisms, "as_uniforms", recording_uniforms)
+    estimate_triangles(g, PrivacyBudget(0.5, 1.0, 1.0, 0.05), seed=3)
+    assert set(built) == {caller} and len(built) == 3 * g.n
+    assert caller in drawn and len(drawn) > 1
+
+
+def _recorded_pool(monkeypatch):
+    """Record every part handed to the pool."""
+    handed = []
+    pool = mechanisms._pool
+
+    class Recorder:
+        def submit(self, *args):
+            handed.append(pool().submit(*args))
+            return handed[-1]
+
+    monkeypatch.setattr(mechanisms, "_pool", Recorder)
+    return handed
+
+
+def test_a_part_error_is_raised_once_every_part_has_finished(monkeypatch):
+    _split(monkeypatch, 3)
+    handed = _recorded_pool(monkeypatch)
+    n = 2 * H + 3
+    g = gen_er(n, 0.4, seed=2)
+    draws = [np.full(i, 0.5) for i in range(n)]
+    short_last = draws[:-1] + [np.full(n - 2, 0.5)]
+    with pytest.raises(ValidationError, match=rf"user {n - 1}: .*shape \({n - 1},\)"):
+        assemble_obfuscated(g, 1.0, given_rows(short_last))
+    assert len(handed) == 2 and all(part.done() for part in handed)
+
+    # A short row in part 0, on the calling thread, waits for a slow last part.
+    handed.clear()
+    rows = given_rows(draws[:1] + [np.full(0, 0.5)] + draws[2:])
+
+    def slow_last(size):
+        time.sleep(0.2)
+        return draws[-1]
+
+    rows[-1] = slow_last
+    with pytest.raises(ValidationError, match=r"user 1: .*shape \(1,\)"):
+        assemble_obfuscated(g, 1.0, rows)
+    assert len(handed) == 2 and all(part.done() for part in handed)
 
 
 H = 5  # RR block height the shrunken flip buffer gives in these tests
@@ -314,7 +432,7 @@ def test_block_rr_matches_the_per_row_mechanism(monkeypatch, height, n, eps):
     g = gen_er(n, 0.4, seed=n)
 
     def rows():
-        return (substream(13, "block", i).random(i) for i in range(n))
+        return SubstreamRows(n, 13, "block")
 
     obf = assemble_obfuscated(g, eps, rows())
     assert np.array_equal(obf.bits, _assemble_bits_lower_plus_transpose(g, eps, rows()))
@@ -325,22 +443,20 @@ def test_block_rr_errors_at_a_block_boundary(monkeypatch):
     _block_rows(monkeypatch, n, H)
     g = gen_er(n, 0.4, seed=2)
     draws = [np.full(i, 0.5) for i in range(n)]
-    assert assemble_obfuscated(g, 1.0, iter(draws)).n == n
+    assert assemble_obfuscated(g, 1.0, given_rows(draws)).n == n
     with pytest.raises(ValidationError, match=f"user {H}: .*required"):
-        assemble_obfuscated(g, 1.0, iter(draws[:H]))
+        assemble_obfuscated(g, 1.0, given_rows(draws[:H]))
     wrong = draws[: H + 1] + [np.full(H, 0.5)] + draws[H + 2 :]
     with pytest.raises(ValidationError, match=rf"user {H + 1}: .*shape \({H + 1},\)"):
-        assemble_obfuscated(g, 1.0, iter(wrong))
+        assemble_obfuscated(g, 1.0, given_rows(wrong))
     with pytest.raises(ValidationError, match=f"more than {n} rows"):
-        assemble_obfuscated(g, 1.0, iter(draws + [np.full(n, 0.5)]))
+        assemble_obfuscated(g, 1.0, given_rows(draws + [np.full(n, 0.5)]))
 
 
-def test_mirror_and_unbiased_memory():
-    # The mirror works in place: bits + bits.T held a second n*n array
-    # (2.08 n^2 bytes at peak), the panels hold one (1.11 n^2).
+def _assembly_peaks():
+    """Traced peaks of assembling and of unbiasing 1536 users' reports."""
     g = gen_er(1536, 0.01, 3)
-    n = g.n
-    rows = (substream(5, "mem", i).random(i) for i in range(n))
+    rows = SubstreamRows(g.n, 5, "mem")
     tracemalloc.start()
     try:
         obf = assemble_obfuscated(g, 1.0, rows)
@@ -351,6 +467,23 @@ def test_mirror_and_unbiased_memory():
         unbiased_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    return g.n, assemble_peak, unbiased_peak
+
+
+def test_mirror_and_unbiased_memory():
+    # The mirror works in place: bits + bits.T held a second n*n array
+    # (2.08 n^2 bytes at peak), the panels hold one (1.11 n^2).
+    n, assemble_peak, unbiased_peak = _assembly_peaks()
+    assert assemble_peak < 1.5 * n * n
+    assert unbiased_peak <= 8.5 * n * n
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_mirror_and_unbiased_memory_in_parts(monkeypatch, parts):
+    # The same bounds with each part's flip buffer and a later part's
+    # streams, read before it is handed over, in the peak.
+    _split(monkeypatch, parts)
+    n, assemble_peak, unbiased_peak = _assembly_peaks()
     assert assemble_peak < 1.5 * n * n
     assert unbiased_peak <= 8.5 * n * n
 
@@ -390,7 +523,7 @@ def test_dense_limit_refuses_before_allocating(monkeypatch):
 
 def test_unbiased_matrix_takes_two_values_off_diagonal():
     g = gen_er(8, 0.5, seed=4)
-    u_rows = (substream(4, "two", i).random(i) for i in range(g.n))
+    u_rows = SubstreamRows(g.n, 4, "two")
     obf = assemble_obfuscated(g, 1.3, u_rows)
     off = obf.unbiased[~np.eye(8, dtype=bool)]
     assert set(np.round(off, 12)) <= {
