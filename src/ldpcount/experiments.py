@@ -213,8 +213,9 @@ def verify_bounds(graph: Graph, orderings: int, eps0: float, seed: int) -> Bound
         raise ValidationError(
             "deterministic degeneracy bounds violated; counting bug"
         )
-    # At eps0=inf every ordering ranks the exact degrees, so one stands for all
-    # and, by the stream rule, it draws from no stream.
+    # At eps0=inf every ordering ranks the exact degrees, so one stands for all,
+    # with their mean and a standard error of 0, and, by the stream rule, it
+    # draws from no stream.
     rounds = orderings if eps0 != math.inf else 1
     s2 = np.empty(rounds, dtype=np.float64)
     c4 = np.empty(rounds, dtype=np.float64)
@@ -223,7 +224,6 @@ def verify_bounds(graph: Graph, orderings: int, eps0: float, seed: int) -> Bound
         reordered = apply_ordering(graph, get_ordering(graph, eps0, u))
         s2[r] = count_low2stars(reordered)
         c4[r] = count_monotone_cycles(reordered, 4)
-    s2, c4 = np.resize(s2, orderings), np.resize(c4, orderings)
     delta = max(stats.degeneracy, 1)
     return BoundReport(
         n=stats.n,

@@ -109,8 +109,8 @@ def _first_fault(n: int, pairs: list) -> tuple[int, str] | None:
     """Index and reason of the first pair that breaks the simple-graph rules.
 
     In input order, each must be a pair of integer ids in ``[0, n)``, then
-    neither a self-loop nor a repeat in either orientation.  Only pairs from
-    a caller or a file reach it: every constructor hands over an int array.
+    neither a self-loop nor a repeat in either orientation.  Pairs from a
+    caller reach it; constructors and files hand over int arrays.
     """
     seen: set[tuple[int, int]] = set()
     for index, pair in enumerate(pairs):
@@ -133,13 +133,33 @@ def _first_fault(n: int, pairs: list) -> tuple[int, str] | None:
     return None
 
 
+def _array_fault(n: int, pairs: np.ndarray) -> tuple[int, str]:
+    """``_first_fault`` of an integer (k, 2) array that has one, from its arrays.
+
+    A stable argsort of the pair keys marks each repeat after its first
+    occurrence (a row out of range has a meaningless key, but it only marks
+    later rows).  The first row out of range, a self-loop or so marked is
+    the fault, which ``_first_fault`` names from the row given twice.
+    """
+    u, v = pairs.astype(np.int64, copy=False).T  # ids past int64 wrap negative
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    faulty = (lo < 0) | (hi >= n) | (lo == hi)
+    keys = lo * n + hi
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    faulty[order[1:][keys[1:] == keys[:-1]]] = True
+    index = int(np.argmax(faulty))
+    row = tuple(pairs[index].tolist())
+    return index, _first_fault(n, [row, row])[1]
+
+
 def _canonical(n: int, pairs: list | np.ndarray, lines: array | None = None) -> Graph:
     """The one place a ``Graph`` is made, and the one place pairs are checked.
 
     An integer (k, 2) array is checked on its pair keys lo*n + hi, sorted once:
     range first, so the keys are distinct exactly when the edges are, then
-    self-loops, then a repeat.  A list, or an array that fails, runs
-    ``_first_fault`` to name its first fault in input order, on ``lines[i]``
+    self-loops, then a repeat.  ``_array_fault``, or for other input
+    ``_first_fault``, names the first fault in input order, on ``lines[i]``
     for pair i.  The keys give ``edges``, both directions' keys the CSR rows.
     """
     keys = None
@@ -150,12 +170,12 @@ def _canonical(n: int, pairs: list | np.ndarray, lines: array | None = None) -> 
             keys = np.sort(lo * n + hi)
             if (lo == hi).any() or (keys[1:] == keys[:-1]).any():
                 keys = None
-    if keys is None:
-        pairs = pairs.tolist() if is_array else pairs
-        if fault := _first_fault(n, pairs):
-            line = f"line {lines[fault[0]]}: " if lines else ""
-            raise ValidationError(line + fault[1])
+        fault = None if keys is not None else _array_fault(n, pairs)
+    elif not (fault := _first_fault(n, pairs.tolist() if is_array else pairs)):
         return _canonical(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    if fault:
+        line = f"line {lines[fault[0]]}: " if lines else ""
+        raise ValidationError(line + fault[1])
     arcs = np.sort(np.concatenate([keys, hi * n + lo]))  # both directions
     indptr = np.concatenate([[0], np.cumsum(np.bincount(arcs // n, minlength=n))])
     edges = np.column_stack(np.divmod(keys, n)).astype(np.int32)

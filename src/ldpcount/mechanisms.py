@@ -302,28 +302,26 @@ def require_dense_bytes(n: int, per_cell: int) -> None:
         )
 
 
-def assemble_obfuscated(graph: Graph, eps: float, u_rows=None) -> ObfuscatedGraph:
+def assemble_obfuscated(graph: Graph, eps: float, streams=None) -> ObfuscatedGraph:
     """Mirror every user's randomized-response report into one symmetric matrix.
 
     User i reports i bits, bit j being edge (j, i), so each pair is reported
-    once.  At finite eps ``u_rows`` is a sequence of n rows (``len`` and
-    ``u_rows[i]``): row i is a callable, and ``row(i)`` returns user i's i
-    uniform draws (``protocol.SubstreamRows``, or a list).  Every row is
-    read on the calling thread and called on the thread that runs its
-    user's part, so a row that builds a stream when read hands over only
-    its draws.  Unused at eps=inf.
+    once.  At finite eps ``streams(i)`` is user i's stream, whose
+    ``random(i)`` returns its i uniform draws.  Every stream is made on the
+    calling thread and drawn on the thread that runs its user's part.
+    Unused at eps=inf.
     """
     n = graph.n
     require_dense_bytes(n, 9)  # the bits 1 and the unbiased matrix 8
     bits = np.zeros((n, n), dtype=np.uint8)
     bits[graph.edges[:, 1], graph.edges[:, 0]] = 1
     if eps != INF:
-        _randomize_lower(bits, eps, () if u_rows is None else u_rows)
+        _randomize_lower(bits, eps, streams)
     _mirror_lower(bits)
     return ObfuscatedGraph(bits=bits, eps=eps)
 
 
-def _randomize_lower(bits: np.ndarray, eps: float, rows) -> None:
+def _randomize_lower(bits: np.ndarray, eps: float, streams) -> None:
     """Apply user i's randomized response to ``bits[i, :i]``, in place.
 
     Same bits as ``randomize_response_row`` row by row, but each block of
@@ -332,18 +330,16 @@ def _randomize_lower(bits: np.ndarray, eps: float, rows) -> None:
     earlier user in row r, so its write covers every cell an earlier block
     set and the cells from i on stay False: the buffer needs no reset.
     Users are split into parts of equal cells, each with its own buffer;
-    the buffers share the _CELLS budget.  A later part's rows are all read
-    before it is handed over; part 0 reads its own a block at a time, so
-    that the streams it builds hold the interpreter lock in few spells
-    (read row by row, they kept a worker waiting on every row).
+    the buffers share the _CELLS budget.  A later part's streams are all
+    made before it is handed over; part 0 makes a block's streams before
+    drawing any, so that making them holds the interpreter lock in few
+    spells (made user by user, they kept a worker waiting on every user).
     """
     require_eps("eps", eps)
     p_flip = 1.0 - rr_keep_probability(eps)
     n = bits.shape[0]
-    if len(rows) > n:
-        raise ValidationError(f"u_rows holds more than {n} rows, one per user")
-    if len(rows) < n:
-        raise ValidationError(f"user {len(rows)}: a row of uniform draws is required at finite eps")
+    if streams is None and n:
+        raise ValidationError("user 0: uniform draws are required at finite eps")
     height = max(1, _CELLS // (max(n, 1) * _parts(n * n // 2)))
 
     def users(lo: int, hi: int, held=None) -> None:
@@ -351,19 +347,19 @@ def _randomize_lower(bits: np.ndarray, eps: float, rows) -> None:
         for start in range(lo, hi, height):
             stop = min(start + height, hi)
             if held is None:
-                block = [rows[i] for i in range(start, stop)]
+                block = list(map(streams, range(start, stop)))
             else:
                 block = held[start - lo : stop - lo]
-            for i, row in enumerate(block, start):
+            for i, stream in enumerate(block, start):
                 try:
-                    u = as_uniforms(row(i), (i,))
+                    u = as_uniforms(stream.random(i), (i,))
                 except ValidationError as exc:
                     raise ValidationError(f"user {i}: {exc}") from None
                 np.less(u, p_flip, out=flips[i - start, :i])
             bits[start:stop] ^= flips[: stop - start].view(np.uint8)
 
     def hand_off(lo: int, hi: int) -> tuple:
-        return lo, hi, [rows[i] for i in range(lo, hi)]
+        return lo, hi, list(map(streams, range(lo, hi)))
 
     # Row i holds i cells, so rows [0, r) hold about r*r/2 of them.
     _run_parts(n * n // 2, lambda f: round(n * math.sqrt(f)), users, hand_off)

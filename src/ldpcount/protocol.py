@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -56,26 +57,6 @@ def split_forks(row: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Split a sorted neighbor row into partners below and above rank i."""
     cut = bisect_left(row, i)  # on a short row, faster than np.searchsorted
     return row[:cut], row[cut:]
-
-
-class SubstreamRows:
-    """Randomized-response rows of n users, one stream each, built when read.
-
-    Row i is ``substream(*head, i).random``, so ``row(i)`` returns user i's
-    i uniform draws: reading the row builds the stream on the reading
-    thread, and calling it only draws.
-    """
-
-    def __init__(self, n: int, *head: int | str):
-        self.n, self.head = n, head
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i: int):
-        if not 0 <= i < self.n:
-            raise IndexError(f"row {i} of {self.n}")
-        return substream(*self.head, i).random
 
 
 @dataclass(frozen=True)
@@ -147,8 +128,7 @@ def run_ordered_stage(
     noisy_by_rank = np.empty(n, dtype=np.float64)
     noisy_by_rank[ordering.phi] = ordering.noisy_degrees
 
-    u_rows = None if budget.eps1 == INF else SubstreamRows(n, seed, trial, STAGE_RR)
-    obf = assemble_obfuscated(reordered, budget.eps1, u_rows)
+    obf = assemble_obfuscated(reordered, budget.eps1, partial(substream, seed, trial, STAGE_RR))
 
     d_hat = clipped_degree(noisy_by_rank, budget.eps0, n, budget.zeta)
     floors = np.floor(d_hat)

@@ -26,14 +26,16 @@ preferential attachment with one ``Generator.integers`` call per draw, whose
 graphs the library's raw-stream ``gen_ba`` reproduces, and
 ``_gen_ktree_tuples`` the random k-tree grown from lists of edge and clique
 tuples, whose graphs the library's array ``gen_ktree`` reproduces.
-``given_rows`` is a row source of fixed draws for ``assemble_obfuscated``
-and the RR reference, beside ``protocol.SubstreamRows``.
+``given_rows`` is a stream function of fixed draws for
+``assemble_obfuscated`` and the RR reference, beside
+``partial(substream, ...)``.
 ``walker_steps`` is the oracle's simple-path walker with the step counter it
 once checked in its loop; the library's walk bound must cover its count.
 Only usable at tiny sizes.
 """
 
 import hashlib
+from types import SimpleNamespace
 from itertools import combinations, permutations
 
 import numpy as np
@@ -172,7 +174,7 @@ def _admissible_sum_k5_grid(i: int, j: int, kappa: int, ahat: np.ndarray) -> flo
     return float(weights[allowed].sum())
 
 
-def _assemble_bits_lower_plus_transpose(graph: Graph, eps: float, u_rows):
+def _assemble_bits_lower_plus_transpose(graph: Graph, eps: float, streams):
     """The RR matrix as one ``lower + lower.T``: user i randomizes row i below i.
 
     One ``randomize_response_row`` call per user, then the mirror.
@@ -183,13 +185,13 @@ def _assemble_bits_lower_plus_transpose(graph: Graph, eps: float, u_rows):
     lower[edges[:, 1], edges[:, 0]] = 1
     if eps != float("inf"):
         for i in range(n):
-            lower[i, :i] = randomize_response_row(lower[i, :i], eps, u_rows[i](i))
+            lower[i, :i] = randomize_response_row(lower[i, :i], eps, streams(i).random(i))
     return lower + lower.T
 
 
 def given_rows(draws):
-    """Row source handing back fixed draws, one array per user."""
-    return [lambda size, u=u: u for u in draws]
+    """Stream function of fixed draws: stream i's ``random`` returns ``draws[i]``."""
+    return lambda i: SimpleNamespace(random=lambda size: draws[i])
 
 
 def _unbiased_one_shot(bits: np.ndarray, eps: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from ldpcount import apply_ordering, cycles, derive_seed, get_ordering, make_gra
 from ldpcount.cycles import admissible
 from ldpcount.mechanisms import assemble_obfuscated
 from ldpcount.oracles import count_cycles, enumerate_cycles
-from ldpcount.protocol import SubstreamRows, split_forks
+from ldpcount.protocol import run_ordered_stage, split_forks
 
 from _brute import (
     _admissible_sum_dfs,
@@ -39,7 +40,7 @@ INF = math.inf
 
 
 def _noisy_obf(graph, eps, seed):
-    return assemble_obfuscated(graph, eps, SubstreamRows(graph.n, seed, "rr"))
+    return assemble_obfuscated(graph, eps, partial(substream, seed, "rr"))
 
 
 # ------------------------------------------------------------ walk sum
@@ -354,6 +355,29 @@ def test_path_guard_counts_all_users_before_any_sum(monkeypatch, spec):
     with pytest.raises(ResourceLimitError, match="all users"):
         estimate_odd_cycles(g, 7, PrivacyBudget(0.5, 1.0, 1.0, 0.05), 0)
     assert calls == []
+
+
+@pytest.mark.parametrize("k", [5, 7])
+def test_path_tuple_limit_refuses_one_below_its_price(monkeypatch, k):
+    # The guard prices n^(k-3) tuples per fork of the projected rows.
+    g = gen_er(16, 0.3, seed=3)
+    budget = PrivacyBudget(0.5, 1.0, 1.0, 0.05)
+    stage = run_ordered_stage(g, budget, 0, 0)
+    forks = sum(len(b) * len(a) for b, a in map(split_forks, stage.projected, range(g.n)))
+    price = g.n ** (k - 3) * forks
+    assert forks > 0
+    expected = estimate_odd_cycles(g, k, budget, 0)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a user sum ran past the tuple limit")
+
+    with monkeypatch.context() as m:
+        m.setattr(cycles, "PATH_TUPLE_LIMIT", price - 1)
+        m.setattr(cycles, "user_cycle_estimate", must_not_run)
+        with pytest.raises(ResourceLimitError, match=f"^all users: {forks} forks x n"):
+            estimate_odd_cycles(g, k, budget, 0)
+    monkeypatch.setattr(cycles, "PATH_TUPLE_LIMIT", price)
+    assert estimate_odd_cycles(g, k, budget, 0) == expected
 
 
 def test_c5_dense_price_checked_before_the_stage(monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -234,6 +235,18 @@ def test_verify_bounds_builds_no_stream_at_infinite_eps0(monkeypatch, graph, ord
     text = json.dumps(report.to_json_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert report.orderings == orderings and report.stderr_low2stars == 0.0
+
+
+def test_verify_bounds_at_infinite_eps0_holds_one_ordering_in_memory():
+    # copying the one ordering's counts 10**6 times peaked at 45.8 MiB
+    tracemalloc.start()
+    try:
+        report = verify_bounds(complete_graph(4), 10**6, INF, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.orderings, report.mean_low2stars, report.stderr_low2stars) == (10**6, 12.0, 0.0)
+    assert peak < 2**20
 
 
 def test_verify_bounds_tree_has_no_cycles():

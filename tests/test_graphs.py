@@ -261,6 +261,20 @@ def test_every_constructor_peaks_within_the_edge_limit_price(name):
     assert peak <= 128 * g.m
 
 
+def test_a_faulty_edge_list_peaks_within_the_edge_limit_price():
+    # A repeat on the last line once sent the whole file through a list of
+    # pairs and a set of tuples: 266 bytes per edge at 10**5 nodes.
+    g = load_edge_list(_BA_TEXT)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=rf"^line {g.m + 1}: duplicate edge \(0, 1\)$"):
+            load_edge_list(_BA_TEXT + "0 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * g.m
+
+
 def test_gen_ba_graph_is_small_read_only_and_sorted():
     # the tuples of Python ints it replaced held 62 MiB; a Python list of
     # edge ends, in place of the int32 buffer, peaked at 39 MiB
@@ -326,6 +340,21 @@ def test_from_edges_reports_the_first_fault_in_input_order(n, pairs, message):
 def test_from_edges_array_reports_like_its_list_form(n, pairs, message, dtype):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         Graph.from_edges(n, np.array(pairs, dtype=dtype))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 6),
+    pairs=st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 7)), max_size=10),
+)
+def test_an_array_names_the_fault_its_list_form_names(n, pairs):
+    # the array route's argsort marks against the list route's set of tuples
+    fault = graphs._first_fault(n, pairs)
+    array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    if fault:
+        assert graphs._array_fault(n, array) == fault
+    else:
+        assert Graph.from_edges(n, array) == Graph.from_edges(n, pairs)
 
 
 @pytest.mark.parametrize(
