@@ -39,7 +39,7 @@ BUDGET_SLACK = 1e-12
 # Bound on a route's dense n x n matrices, priced per cell (require_dense_bytes).
 DENSE_BYTES_LIMIT = MEMORY_BUDGET
 
-# Columns the RR mirror fills per pass; the panel's source rows stay in
+# Columns an RR row part mirrors per pass; the panel's source rows stay in
 # cache while their transpose is read.
 _PANEL = 256
 
@@ -50,10 +50,10 @@ _CELLS = 2**18
 
 # Cells per row part of a dense server layer: a layer of C cells runs in
 # max(1, min(cores, C // _PART_CELLS)) parts, one per core at most.  On a
-# 2-vCPU guest two parts paid for unbiasing from 1.4M cells, for the mirror
-# from 2M, and for RR, whose draws contend for the interpreter lock with
-# the stream building on the calling thread, only from about 8M: at 2**22
-# no layer splits below the size where its split paid.
+# 2-vCPU guest two parts paid for unbiasing from 1.4M cells, and for the RR
+# release, whose draws contend for the interpreter lock with the stream
+# building on the calling thread, only from about 8M: at 2**22 neither
+# layer splits below the size where its split paid.
 _PART_CELLS = 2**22
 
 # Cores this process may run on, read once at import.
@@ -203,9 +203,10 @@ def require_eps(name: str, eps: float) -> None:
 
     The least is 2**-52, the smallest eps with e^eps > 1 in float64; below
     it randomized response cannot be unbiased and the noise scales overflow.
+    A bool is not a budget, though it compares like 0 or 1.
     """
-    if not eps >= math.ulp(1.0):
-        raise ValidationError(f"{name} must be >= 2**-52, got {eps}")
+    if isinstance(eps, (bool, np.bool_)) or not eps >= math.ulp(1.0):
+        raise ValidationError(f"{name} must be a number >= 2**-52, got {eps}")
 
 
 def rr_keep_probability(eps: float) -> float:
@@ -309,31 +310,38 @@ def assemble_obfuscated(graph: Graph, eps: float, streams=None) -> ObfuscatedGra
     once.  At finite eps ``streams(i)`` is user i's stream, whose
     ``random(i)`` returns its i uniform draws.  Every stream is made on the
     calling thread and drawn on the thread that runs its user's part.
-    Unused at eps=inf.
+    Unused at eps=inf, where each edge is written into both triangles.
     """
     n = graph.n
     require_dense_bytes(n, 9)  # the bits 1 and the unbiased matrix 8
     bits = np.zeros((n, n), dtype=np.uint8)
-    bits[graph.edges[:, 1], graph.edges[:, 0]] = 1
-    if eps != INF:
+    u, v = graph.edges.T
+    bits[v, u] = 1
+    if eps == INF:
+        bits[u, v] = 1
+    else:
         _randomize_lower(bits, eps, streams)
-    _mirror_lower(bits)
     return ObfuscatedGraph(bits=bits, eps=eps)
 
 
 def _randomize_lower(bits: np.ndarray, eps: float, streams) -> None:
-    """Apply user i's randomized response to ``bits[i, :i]``, in place.
+    """Apply user i's randomized response to ``bits[i, :i]``, then mirror, in place.
 
-    Same bits as ``randomize_response_row`` row by row, but each block of
-    users is compared into one reused bool buffer and XORed in one pass.
-    Buffer row r holds user lo + r, whose row is longer than that of any
-    earlier user in row r, so its write covers every cell an earlier block
-    set and the cells from i on stay False: the buffer needs no reset.
-    Users are split into parts of equal cells, each with its own buffer;
-    the buffers share the _CELLS budget.  A later part's streams are all
-    made before it is handed over; part 0 makes a block's streams before
-    drawing any, so that making them holds the interpreter lock in few
-    spells (made user by user, they kept a worker waiting on every user).
+    Same bits as ``randomize_response_row`` row by row, then ``lower +
+    lower.T``.  Each block of users is compared into one reused bool buffer
+    and XORed in one pass; buffer row r holds user lo + r, whose row is
+    longer than that of any earlier user in row r, so its write covers every
+    cell an earlier block set and the cells from i on stay False: the buffer
+    needs no reset.  Users are split into parts of equal cells, each with its own
+    buffer; the buffers share the _CELLS budget.  After its last block, the
+    part for users [lo, hi) mirrors its own columns panel by panel, and the
+    diagonal block adds its own transpose.  Its XOR stops at column hi, so
+    parts write disjoint cells and read only cells they write, and the bits
+    do not depend on the part count: a full-width XOR would rewrite upper
+    cells that a later part's mirror fills at the same time.  A later part's
+    streams are all made before it is handed over; part 0 makes a block's
+    streams before drawing any, so making them holds the interpreter lock in
+    few spells (made user by user, they kept a worker waiting on every user).
     """
     require_eps("eps", eps)
     p_flip = 1.0 - rr_keep_probability(eps)
@@ -343,7 +351,7 @@ def _randomize_lower(bits: np.ndarray, eps: float, streams) -> None:
     height = max(1, _CELLS // (max(n, 1) * _parts(n * n // 2)))
 
     def users(lo: int, hi: int, held=None) -> None:
-        flips = np.zeros((min(height, hi - lo), n), dtype=bool)
+        flips = np.zeros((min(height, hi - lo), hi), dtype=bool)
         for start in range(lo, hi, height):
             stop = min(start + height, hi)
             if held is None:
@@ -356,36 +364,18 @@ def _randomize_lower(bits: np.ndarray, eps: float, streams) -> None:
                 except ValidationError as exc:
                     raise ValidationError(f"user {i}: {exc}") from None
                 np.less(u, p_flip, out=flips[i - start, :i])
-            bits[start:stop] ^= flips[: stop - start].view(np.uint8)
+            bits[start:stop, :hi] ^= flips[: stop - start].view(np.uint8)
+        for a in range(lo, hi, _PANEL):
+            b = min(a + _PANEL, hi)
+            bits[:a, a:b] = bits[a:b, :a].T
+            block = bits[a:b, a:b]
+            block += block.T
 
     def hand_off(lo: int, hi: int) -> tuple:
         return lo, hi, list(map(streams, range(lo, hi)))
 
     # Row i holds i cells, so rows [0, r) hold about r*r/2 of them.
     _run_parts(n * n // 2, lambda f: round(n * math.sqrt(f)), users, hand_off)
-
-
-def _mirror_lower(bits: np.ndarray) -> None:
-    """Copy the strict lower triangle onto the zero upper one, in place.
-
-    Same bits as ``bits + bits.T``, but without a second n*n array and
-    without reading the transpose one byte per cache line: each column
-    panel [lo, hi) takes the transpose of the row panel below it, and the
-    diagonal block adds its own transpose (numpy buffers the overlap).
-    Panels touch disjoint cells, so parts of whole panels run at once.
-    """
-    n = bits.shape[0]
-
-    def panels(start: int, stop: int) -> None:
-        for lo in range(start, stop, _PANEL):
-            hi = min(lo + _PANEL, n)
-            bits[:lo, lo:hi] = bits[lo:hi, :lo].T
-            block = bits[lo:hi, lo:hi]
-            block += block.T
-
-    _run_parts(
-        n * n // 2, lambda f: min(n, _PANEL * math.ceil(n * math.sqrt(f) / _PANEL)), panels
-    )
 
 
 # Workers for the parts after the first; made on first use (_pool).
@@ -451,8 +441,8 @@ class PrivacyBudget:
     def __post_init__(self):
         for name in ("eps0", "eps1", "eps2"):
             require_eps(name, getattr(self, name))
-        if not 0.0 < self.zeta <= 1.0:
-            raise ValidationError(f"zeta must be in (0, 1], got {self.zeta}")
+        if isinstance(self.zeta, (bool, np.bool_)) or not 0.0 < self.zeta <= 1.0:
+            raise ValidationError(f"zeta must be a number in (0, 1], got {self.zeta}")
 
     @property
     def total(self) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -85,10 +85,16 @@ class OrderedStage:
     budget: PrivacyBudget
     seed: int
     trial: int
-    obf: ObfuscatedGraph
+    reordered: Graph  # relabelled by rank
     clipped_degrees: np.ndarray  # real-valued, per rank
     projected: tuple[np.ndarray, ...]  # per rank: intp views
     clipped_users: int
+
+    @cached_property
+    def obf(self) -> ObfuscatedGraph:
+        """The RR release, built on first read: after any guard priced from the projection."""
+        streams = partial(substream, self.seed, self.trial, STAGE_RR)
+        return assemble_obfuscated(self.reordered, self.budget.eps1, streams)
 
     def report(self, per_user, mode, **cycle_fields) -> EstimateReport:
         """The run's report over its per-user sums; no-noise runs carry no budget."""
@@ -106,7 +112,7 @@ class OrderedStage:
 def run_ordered_stage(
     graph: Graph, budget: PrivacyBudget, seed: int, trial: int
 ) -> OrderedStage:
-    """Ordering query, randomized response, degree clipping and projection.
+    """Ordering query, degree clipping and projection; RR when ``obf`` is read.
 
     User i's draws come from substreams keyed (seed, trial, stage, i), so
     users could run concurrently and any schedule reproduces the same
@@ -127,9 +133,6 @@ def run_ordered_stage(
     reordered = apply_ordering(graph, ordering)
     noisy_by_rank = np.empty(n, dtype=np.float64)
     noisy_by_rank[ordering.phi] = ordering.noisy_degrees
-
-    obf = assemble_obfuscated(reordered, budget.eps1, partial(substream, seed, trial, STAGE_RR))
-
     d_hat = clipped_degree(noisy_by_rank, budget.eps0, n, budget.zeta)
     floors = np.floor(d_hat)
     indices = reordered.indices.astype(np.intp)  # fork sums index intp fastest
@@ -139,7 +142,7 @@ def run_ordered_stage(
         budget=budget,
         seed=seed,
         trial=trial,
-        obf=obf,
+        reordered=reordered,
         clipped_degrees=d_hat,
         projected=tuple(map(project_mu, rows, floors.tolist())),
         clipped_users=int(np.sum(floors < reordered.degrees)),

@@ -11,9 +11,10 @@ whose float result the per-user k=5 route reproduces bit for bit; its mask,
 ``_k5_grid_mask``, is the definition the route's closed-form masks equal.  The
 server-layer references (``_assemble_bits_lower_plus_transpose``,
 ``_unbiased_one_shot``, ``_relabel_from_edges``, ``_fork_sum_ix``) are the
-direct forms that the library's panel mirror, array relabel and fork sums
-reproduce bit for bit; ``_assemble_bits_lower_plus_transpose`` is also the
-per-row RR loop that the library's block-wise flips reproduce.
+direct forms that the library's RR row parts, array relabel and fork sums
+reproduce bit for bit: ``_assemble_bits_lower_plus_transpose`` is the
+per-row RR loop and one whole-matrix mirror that the library's block-wise
+flips, and each part's mirror of its own columns panel by panel, reproduce.
 ``_graph_from_edge_set`` is the set-and-lists build whose arrays the
 library's one sorted-key constructor reproduces (``assert_same_graph``), and
 ``has_edge`` reads an edge off a row.

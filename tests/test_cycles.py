@@ -23,7 +23,9 @@ from ldpcount import (
     user_cycle_estimate,
     user_cycle_noise,
 )
-from ldpcount import apply_ordering, cycles, derive_seed, get_ordering, make_graph, mechanisms
+from ldpcount import (
+    apply_ordering, cycles, derive_seed, get_ordering, make_graph, mechanisms, protocol,
+)
 from ldpcount.cycles import admissible
 from ldpcount.mechanisms import assemble_obfuscated
 from ldpcount.oracles import count_cycles, enumerate_cycles
@@ -369,11 +371,13 @@ def test_path_tuple_limit_refuses_one_below_its_price(monkeypatch, k):
     expected = estimate_odd_cycles(g, k, budget, 0)
 
     def must_not_run(*args, **kwargs):
-        raise AssertionError("a user sum ran past the tuple limit")
+        raise AssertionError("work done past the tuple limit")
 
     with monkeypatch.context() as m:
         m.setattr(cycles, "PATH_TUPLE_LIMIT", price - 1)
         m.setattr(cycles, "user_cycle_estimate", must_not_run)
+        # priced from the projection, before any RR stream or n x n cell
+        m.setattr(protocol, "assemble_obfuscated", must_not_run)
         with pytest.raises(ResourceLimitError, match=f"^all users: {forks} forks x n"):
             estimate_odd_cycles(g, k, budget, 0)
     monkeypatch.setattr(cycles, "PATH_TUPLE_LIMIT", price)

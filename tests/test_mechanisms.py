@@ -304,11 +304,13 @@ def _split(monkeypatch, parts):
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3, 8])
-@pytest.mark.parametrize("n", [0, 1, 2, P - 1, P + 1, 2 * P + 3])
+@pytest.mark.parametrize("n", [0, 1, 2, P - 1, P + 1, 2 * P + 3, 4 * P + 1])
 @pytest.mark.parametrize("eps", [0.7, INF])
 def test_bytes_do_not_depend_on_the_part_count(monkeypatch, parts, n, eps):
     # 8 parts split a 2-user unbiased matrix into more parts than rows, and
-    # every mirror of n <= P into empty later parts.
+    # n <= P users into empty later parts.  At 4P + 1 and two parts the cut
+    # falls at user 725, so the later part mirrors two panels, the first
+    # of them off the P-column grid.
     _split(monkeypatch, parts)
     g = gen_er(n, 0.05, seed=n)
     obf = assemble_obfuscated(g, eps, partial(substream, 17, "parts"))
@@ -559,6 +561,20 @@ def test_budget_validation():
         PrivacyBudget(1.0, 1.0, 1.0, 1.5)
     b = PrivacyBudget(0.5, 1.0, 0.5, 0.05)
     assert b.total == 2.0
+
+
+@pytest.mark.parametrize("flag", [True, np.bool_(True)])
+def test_a_bool_budget_is_rejected(flag):
+    # True compares like 1, so the range checks alone let it through and
+    # the report would serialise "eps0": true.
+    for parts in ((flag, 1.0, 1.0), (1.0, flag, 1.0), (1.0, 1.0, flag)):
+        with pytest.raises(ValidationError, match="^eps[012] must be a number .* got True"):
+            PrivacyBudget(*parts, 0.1)
+    with pytest.raises(ValidationError, match="^zeta must be a number .* got True"):
+        PrivacyBudget(1.0, 1.0, 1.0, flag)
+    g = gen_er(6, 0.5, seed=0)
+    with pytest.raises(ValidationError, match="^eps0 must be a number .* got True"):
+        get_ordering(g, flag, np.full(g.n, 0.5))
 
 
 EPS_FLOOR = 2.0**-52  # the smallest eps with e^eps > 1 in float64
