@@ -234,10 +234,12 @@ def estimate_odd_cycles(
     n = graph.n
     splits = map(split_forks, stage.projected, range(n))
     forks = sum(len(below) * len(above) for below, above in splits)
-    if n ** (k - 3) * forks > PATH_TUPLE_LIMIT:
+    # a fork pair needs n >= 2, so past the limit's bit length the power
+    # is over the limit already: capping it keeps the decision in bounded time
+    limit = PATH_TUPLE_LIMIT
+    if n ** min(k - 3, limit.bit_length()) * forks > limit:
         raise ResourceLimitError(
-            f"all users: {forks} forks x n^{k - 3} tuples exceeds "
-            f"{PATH_TUPLE_LIMIT}; shrink n or k"
+            f"all users: {forks} forks x n^{k - 3} tuples exceeds {limit}; shrink n or k"
         )
     walk_sum = server_walk_sum(stage.obf, k)
     scratch = _k5_scratch(n) if k == 5 else None

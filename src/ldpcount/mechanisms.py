@@ -16,8 +16,7 @@ import math
 import os
 import re
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -43,9 +42,9 @@ DENSE_BYTES_LIMIT = MEMORY_BUDGET
 # cache while their transpose is read.
 _PANEL = 256
 
-# Cells of the RR flip buffers, shared by the P row parts: each part's
-# users are compared into its buffer a block of max(1, _CELLS // (n * P))
-# rows at a time and XORed into the bits once per block.
+# Cells of each RR row part's flip buffer: the part's users are compared
+# into it a block of max(1, _CELLS // n) rows at a time and XORed into the
+# bits once per block.
 _CELLS = 2**18
 
 # Cells per row part of a dense server layer: a layer of C cells runs in
@@ -332,10 +331,10 @@ def _randomize_lower(bits: np.ndarray, eps: float, streams) -> None:
     and XORed in one pass; buffer row r holds user lo + r, whose row is
     longer than that of any earlier user in row r, so its write covers every
     cell an earlier block set and the cells from i on stay False: the buffer
-    needs no reset.  Users are split into parts of equal cells, each with its own
-    buffer; the buffers share the _CELLS budget.  After its last block, the
-    part for users [lo, hi) mirrors its own columns panel by panel, and the
-    diagonal block adds its own transpose.  Its XOR stops at column hi, so
+    needs no reset.  Users are split into parts of equal cells, each with
+    its own buffer of _CELLS cells.  After its last block, the part for
+    users [lo, hi) mirrors its own columns panel by panel, and the diagonal
+    block adds its own transpose.  Its XOR stops at column hi, so
     parts write disjoint cells and read only cells they write, and the bits
     do not depend on the part count: a full-width XOR would rewrite upper
     cells that a later part's mirror fills at the same time.  A later part's
@@ -348,7 +347,7 @@ def _randomize_lower(bits: np.ndarray, eps: float, streams) -> None:
     n = bits.shape[0]
     if streams is None and n:
         raise ValidationError("user 0: uniform draws are required at finite eps")
-    height = max(1, _CELLS // (max(n, 1) * _parts(n * n // 2)))
+    height = max(1, _CELLS // max(n, 1))
 
     def users(lo: int, hi: int, held=None) -> None:
         flips = np.zeros((min(height, hi - lo), hi), dtype=bool)
@@ -378,44 +377,23 @@ def _randomize_lower(bits: np.ndarray, eps: float, streams) -> None:
     _run_parts(n * n // 2, lambda f: round(n * math.sqrt(f)), users, hand_off)
 
 
-# Workers for the parts after the first; made on first use (_pool).
-_POOL: ThreadPoolExecutor | None = None
-_POOL_LOCK = threading.Lock()
-
-
-def _pool() -> ThreadPoolExecutor:
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(_CORES - 1, "ldpcount-part")
-        return _POOL
-
-
-def _parts(cells: int) -> int:
-    """How many row parts a dense layer of ``cells`` cells runs in."""
-    return max(1, min(_CORES, cells // _PART_CELLS))
-
-
 def _run_parts(cells: int, cut, work, hand_off=lambda lo, hi: (lo, hi)) -> None:
     """Run ``work`` over the consecutive row parts of a layer of ``cells`` cells.
 
-    There are P = _parts(cells) parts; part p spans rows
-    [cut(p / P), cut((p + 1) / P)), so ``cut`` maps 0 to the first row and
-    1 past the last.  Part 0 runs ``work(lo, hi)`` on the calling thread.
-    Each later part is first passed to ``hand_off(lo, hi)`` on the calling
-    thread, and the pool runs ``work`` on what it returns.  Parts must
-    write disjoint cells.  Once every part has finished, the first error
-    in part order is raised.
+    There are P = max(1, min(_CORES, cells // _PART_CELLS)) parts; part p
+    spans rows [cut(p / P), cut((p + 1) / P)), so ``cut`` maps 0 to the
+    first row and 1 past the last.  Part 0 runs ``work(lo, hi)`` on the
+    calling thread.  Each later part is first passed to ``hand_off(lo, hi)``
+    on the calling thread, and a thread of the layer's own runs ``work`` on
+    what it returns; a one-part layer starts none.  Parts must write
+    disjoint cells.  Every thread is joined before the layer returns, and
+    then the first error in part order is raised.
     """
-    parts = _parts(cells)
+    parts = max(1, min(_CORES, cells // _PART_CELLS))
     cuts = [cut(p / parts) for p in range(parts + 1)]
-    rest = []
-    try:
-        for lo, hi in zip(cuts[1:], cuts[2:]):
-            rest.append(_pool().submit(work, *hand_off(lo, hi)))
+    with ThreadPoolExecutor(parts, "ldpcount-part") as pool:
+        rest = [pool.submit(work, *hand_off(lo, hi)) for lo, hi in zip(cuts[1:], cuts[2:])]
         work(cuts[0], cuts[1])
-    finally:
-        wait(rest)
     for part in rest:
         part.result()
 

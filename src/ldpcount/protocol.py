@@ -24,6 +24,7 @@ from .mechanisms import (
     PrivacyBudget,
     assemble_obfuscated,
     project_mu,
+    require_dense_bytes,
     substream,
 )
 from .ordering import apply_ordering, get_ordering
@@ -124,6 +125,7 @@ def run_ordered_stage(
     n = graph.n
     if n == 0:
         raise ValidationError("the graph has 0 nodes; the protocol needs at least one")
+    require_dense_bytes(n, 9)  # the release it hands out: bits 1, unbiased 8
     u = None
     if budget.eps0 != INF:
         u = np.array(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from functools import partial
 
@@ -26,6 +27,7 @@ from ldpcount import (
 from ldpcount import (
     apply_ordering, cycles, derive_seed, get_ordering, make_graph, mechanisms, protocol,
 )
+from ldpcount.cli import main
 from ldpcount.cycles import admissible
 from ldpcount.mechanisms import assemble_obfuscated
 from ldpcount.oracles import count_cycles, enumerate_cycles
@@ -382,6 +384,22 @@ def test_path_tuple_limit_refuses_one_below_its_price(monkeypatch, k):
             estimate_odd_cycles(g, k, budget, 0)
     monkeypatch.setattr(cycles, "PATH_TUPLE_LIMIT", price)
     assert estimate_odd_cycles(g, k, budget, 0) == expected
+
+
+def test_a_huge_k_is_refused_in_bounded_time(capsys):
+    # n^(k-3) as a big integer took 11-14 s to refuse at k = 10^7 + 1 on a
+    # 2-vCPU guest, and over 120 s at 10^8 + 1
+    g = make_graph("er:20:0.2", derive_seed(0, "graph"))
+    k = 10**7 + 1
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=rf"forks x n\^{k - 3} tuples"):
+        estimate_odd_cycles(g, k, PrivacyBudget(0.5, 1.0, 1.0, 0.05), 0)
+    assert time.perf_counter() - start < 1.0
+    argv = ["estimate-cycles", "--gen", "er:20:0.2", "--k", "100000001",
+            "--eps0", ".5", "--eps1", "1", "--eps2", "1", "--zeta", ".05"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "n^99999998 tuples exceeds" in captured.err and captured.out == ""
 
 
 def test_c5_dense_price_checked_before_the_stage(monkeypatch):

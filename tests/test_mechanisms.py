@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from types import SimpleNamespace
 
@@ -297,10 +298,9 @@ def test_panel_mirror_matches_lower_plus_transpose(n, eps):
 
 
 def _split(monkeypatch, parts):
-    """Run a dense layer of C cells in min(parts, C) row parts, on a new pool."""
+    """Run a dense layer of C cells in min(parts, C) row parts."""
     monkeypatch.setattr(mechanisms, "_CORES", parts)
     monkeypatch.setattr(mechanisms, "_PART_CELLS", 1)
-    monkeypatch.setattr(mechanisms, "_POOL", None)
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3, 8])
@@ -372,17 +372,26 @@ def test_streams_are_built_on_the_caller(monkeypatch):
     assert caller in drawn and len(drawn) > 1
 
 
-def _recorded_pool(monkeypatch):
-    """Record every part handed to the pool."""
-    handed = []
-    pool = mechanisms._pool
+def test_no_part_thread_outlives_its_layer(monkeypatch):
+    # a standing pool kept an idle worker alive after every estimate
+    _split(monkeypatch, 3)
+    n = 2 * P + 3
+    obf = assemble_obfuscated(gen_er(n, 0.05, seed=1), 0.7, partial(substream, 23, "live"))
+    obf.unbiased
+    alive = [t.name for t in threading.enumerate() if t.name.startswith("ldpcount-part")]
+    assert alive == []
 
-    class Recorder:
+
+def _recorded_pool(monkeypatch):
+    """Record every part handed to a layer's threads."""
+    handed = []
+
+    class Recorder(ThreadPoolExecutor):
         def submit(self, *args):
-            handed.append(pool().submit(*args))
+            handed.append(super().submit(*args))
             return handed[-1]
 
-    monkeypatch.setattr(mechanisms, "_pool", Recorder)
+    monkeypatch.setattr(mechanisms, "ThreadPoolExecutor", Recorder)
     return handed
 
 
@@ -505,8 +514,11 @@ def test_dense_limit_refuses_before_allocating(monkeypatch):
         m.setattr(mechanisms, "randomize_response_row", must_not_run)
         with pytest.raises(ResourceLimitError, match="n=100"):
             assemble_obfuscated(g, 1.0, unmade_stream)
-    with pytest.raises(ResourceLimitError, match="DENSE_BYTES_LIMIT"):
-        estimate_triangles(g, b, seed=0)
+    with monkeypatch.context() as m:
+        # priced before the degree streams
+        m.setattr(protocol, "substream", must_not_run)
+        with pytest.raises(ResourceLimitError, match="DENSE_BYTES_LIMIT"):
+            estimate_triangles(g, b, seed=0)
     with pytest.raises(ResourceLimitError, match="DENSE_BYTES_LIMIT"):
         estimate_odd_cycles(g, 5, b, seed=0)
     monkeypatch.setattr(mechanisms, "DENSE_BYTES_LIMIT", 9 * 100 * 100)
