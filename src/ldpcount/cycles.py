@@ -18,6 +18,7 @@ from .mechanisms import (
     ObfuscatedGraph,
     PrivacyBudget,
     add_noise,
+    raw_uniforms,
     require_dense_bytes,
     substream,
     unbias_span,
@@ -241,6 +242,11 @@ def estimate_odd_cycles(
         raise ResourceLimitError(
             f"all users: {forks} forks x n^{k - 3} tuples exceeds {limit}; shrink n or k"
         )
+    if (k - 4) * n * n > limit:  # the walk sum's k - 4 matrix-vector products
+        raise ResourceLimitError(
+            f"the walk sum: (k - 4) x n^2 = {(k - 4) * n * n} cells exceeds {limit}; "
+            f"shrink n or k"
+        )
     walk_sum = server_walk_sum(stage.obf, k)
     scratch = _k5_scratch(n) if k == 5 else None
     per_user = np.array(
@@ -250,7 +256,7 @@ def estimate_odd_cycles(
         ]
     )
     if budget.eps2 != INF:  # at eps2=inf the count noise is the identity
-        u = [substream(stage.seed, stage.trial, STAGE_COUNT, i).random() for i in range(n)]
+        u = [raw_uniforms(substream(stage.seed, stage.trial, STAGE_COUNT, i)) for i in range(n)]
         per_user = user_cycle_noise(
             per_user, stage.clipped_degrees, walk_sum, budget.eps1, budget.eps2, u
         )

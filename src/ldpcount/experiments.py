@@ -26,7 +26,7 @@ from .graphs import (
     load_edge_list,
     require_integer,
 )
-from .mechanisms import PrivacyBudget, derive_seed, substream
+from .mechanisms import PrivacyBudget, derive_seed, raw_uniforms, substream
 from .oracles import count_cycles, count_low2stars, count_monotone_cycles, count_triangles
 from .ordering import apply_ordering, get_ordering
 from .protocol import EstimateReport, resolve_mode
@@ -220,7 +220,7 @@ def verify_bounds(graph: Graph, orderings: int, eps0: float, seed: int) -> Bound
     s2 = np.empty(rounds, dtype=np.float64)
     c4 = np.empty(rounds, dtype=np.float64)
     for r in range(rounds):
-        u = None if eps0 == math.inf else substream(seed, "ordering", r).random(graph.n)
+        u = None if eps0 == math.inf else raw_uniforms(substream(seed, "ordering", r), graph.n)
         reordered = apply_ordering(graph, get_ordering(graph, eps0, u))
         s2[r] = count_low2stars(reordered)
         c4[r] = count_monotone_cycles(reordered, 4)

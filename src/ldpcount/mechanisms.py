@@ -1,8 +1,9 @@
 """Privacy primitives: Laplace noise, randomized response, projection, budgets.
 
-Every mechanism is a pure function of uniform draws in [0, 1).  The protocol
-takes those draws from one generator per (master seed, trial, stage, user),
-derived by :func:`substream`; the derivation is part of the external
+Every mechanism is a pure function of uniform draws in [0, 1), or, in the
+RR release, of the raw 64-bit words those draws are made from.  The
+protocol takes them from one generator per (master seed, trial, stage,
+user), derived by :func:`substream`; the derivation is part of the external
 contract.
 
 Setting a budget component to ``math.inf`` turns the corresponding mechanism
@@ -149,6 +150,16 @@ def substream(master: int, *path: int | str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key, counter=_COUNTER))
 
 
+def raw_uniforms(stream: np.random.Generator, size: int | None = None):
+    """The stream's first draws in [0, 1), one float or ``size`` of them.
+
+    Each is (w >> 11) * 2**-53 for a raw 64-bit word w of the stream's bit
+    generator: bit for bit ``stream.random(size)``, read from the
+    bit-generator stream, which NEP 19 keeps stable across numpy versions.
+    """
+    return (stream.bit_generator.random_raw(size) >> 11) * 2.0**-53
+
+
 def as_uniforms(u, shape: tuple[int, ...]) -> np.ndarray:
     """``u`` as float64 draws of ``shape``; a mechanism at finite eps needs them."""
     if u is None:
@@ -213,6 +224,32 @@ def rr_keep_probability(eps: float) -> float:
     return 1.0 / (1.0 + math.exp(-eps))
 
 
+def rr_flip_bound(eps: float) -> np.uint64:
+    """T << 11, T = ceil(p * 2**53): a raw word w flips its bit iff w < T << 11.
+
+    Here p = 1 - rr_keep_probability(eps) is the flip probability that
+    ``randomize_response_row`` compares the draw (w >> 11) * 2**-53 with.
+    Scaling by 2**53 is exact, so that draw is below p iff w >> 11 < p *
+    2**53, iff w >> 11 < T (an integer is below a real iff it is below its
+    ceiling), iff w < T << 11.  p <= 1/2, so the bound fits in 64 bits.
+    """
+    return np.uint64(math.ceil((1.0 - rr_keep_probability(eps)) * 2.0**53) << 11)
+
+
+def as_words(words, shape: tuple[int, ...]) -> np.ndarray:
+    """``words`` as raw uint64 words of ``shape``, compared with ``rr_flip_bound``.
+
+    Any other dtype is refused: numpy compares int64 with uint64 through
+    float64, which rounds words near the bound.
+    """
+    if not isinstance(words, np.ndarray) or words.dtype != np.uint64:
+        got = getattr(words, "dtype", type(words).__name__)
+        raise ValidationError(f"need raw uint64 words of shape {shape}, got {got}")
+    if words.shape != shape:
+        raise ValidationError(f"need raw uint64 words of shape {shape}, got {words.shape}")
+    return words
+
+
 def randomize_response_row(bits, eps: float, u=None):
     """Flip each bit whose uniform draw in ``u`` falls below 1/(1+e^eps).
 
@@ -227,22 +264,18 @@ def randomize_response_row(bits, eps: float, u=None):
     return np.bitwise_xor(bits, flip.astype(np.uint8))
 
 
-def unbias(bit, eps: float, out=None):
+def unbias(bit, eps: float):
     """Affine correction making randomized bits unbiased edge estimates.
 
     ``bit`` is a 0/1 scalar or an integer array; an array comes back as
-    float64, written into ``out`` (a float64 array of its shape) when given,
-    so that no temporary of that shape is made.  A scalar comes back as a
-    float.  Once e^eps would overflow (eps=inf included) the limit ``bit``
-    is exact.
+    float64, a scalar as a float.  Once e^eps would overflow (eps=inf
+    included) the limit ``bit`` is exact.
     """
-    if out is None:
-        out = np.empty(np.shape(bit))
     if eps > _MAX_EXP_ARG:
-        np.multiply(bit, 1.0, out=out)
+        out = np.multiply(bit, 1.0)
     else:
         e = math.exp(eps)
-        np.multiply(bit, e + 1.0, out=out)
+        out = np.multiply(bit, e + 1.0)
         out -= 1.0
         out /= e - 1.0
     return out if out.ndim else float(out)
@@ -281,12 +314,22 @@ class ObfuscatedGraph:
 
     @cached_property
     def unbiased(self) -> np.ndarray:
-        """Matrix of unbiased edge estimates, diagonal forced to zero."""
+        """Matrix of unbiased edge estimates, diagonal forced to zero.
+
+        Each cell is written through a uint64 view as base + bit * step
+        (mod 2**64): base is the float64 bit pattern of unbias(0) and step
+        that of unbias(1) minus base, so the cell holds unbias(bit)'s
+        pattern, bit for bit, from one integer multiply and add.
+        """
         n = self.n
         a = np.empty((n, n))
+        words = a.view(np.uint64)
+        base, one = unbias(np.arange(2), self.eps).view(np.uint64).tolist()
+        base, step = np.uint64(base), np.uint64((one - base) % 2**64)
 
         def rows(lo: int, hi: int) -> None:
-            unbias(self.bits[lo:hi], self.eps, out=a[lo:hi])
+            np.multiply(self.bits[lo:hi], step, out=words[lo:hi])
+            words[lo:hi] += base
             np.fill_diagonal(a[lo:hi, lo:hi], 0.0)
 
         _run_parts(n * n, lambda f: round(n * f), rows)
@@ -307,8 +350,9 @@ def assemble_obfuscated(graph: Graph, eps: float, streams=None) -> ObfuscatedGra
 
     User i reports i bits, bit j being edge (j, i), so each pair is reported
     once.  At finite eps ``streams(i)`` is user i's stream, whose
-    ``random(i)`` returns its i uniform draws.  Every stream is made on the
-    calling thread and drawn on the thread that runs its user's part.
+    ``bit_generator.random_raw(i)`` returns its i raw words.  Every stream is
+    made on the calling thread and drawn on the thread that runs its user's
+    part.
     Unused at eps=inf, where each edge is written into both triangles.
     """
     n = graph.n
@@ -326,27 +370,30 @@ def assemble_obfuscated(graph: Graph, eps: float, streams=None) -> ObfuscatedGra
 def _randomize_lower(bits: np.ndarray, eps: float, streams) -> None:
     """Apply user i's randomized response to ``bits[i, :i]``, then mirror, in place.
 
-    Same bits as ``randomize_response_row`` row by row, then ``lower +
-    lower.T``.  Each block of users is compared into one reused bool buffer
-    and XORed in one pass; buffer row r holds user lo + r, whose row is
-    longer than that of any earlier user in row r, so its write covers every
-    cell an earlier block set and the cells from i on stay False: the buffer
-    needs no reset.  Users are split into parts of equal cells, each with
-    its own buffer of _CELLS cells.  After its last block, the part for
+    Same bits as ``randomize_response_row`` on the draws ``random(i)``
+    makes, row by row, then ``lower + lower.T``: user i's raw words are
+    compared with ``rr_flip_bound``, which flips exactly where those draws
+    fall below the flip probability.  Each block of users is compared into
+    one reused bool buffer and XORed in one pass; buffer row r holds user
+    lo + r, whose row is longer than that of any earlier user in row r, so
+    its write covers every cell an earlier block set and the cells from i
+    on stay False: the buffer needs no reset, and a block's XOR stops at its
+    last user's column.  Users are split into parts of equal cells, each
+    with its own buffer of _CELLS cells.  After its last block, the part for
     users [lo, hi) mirrors its own columns panel by panel, and the diagonal
-    block adds its own transpose.  Its XOR stops at column hi, so
-    parts write disjoint cells and read only cells they write, and the bits
-    do not depend on the part count: a full-width XOR would rewrite upper
-    cells that a later part's mirror fills at the same time.  A later part's
+    block adds its own transpose.  Its XORs never pass column hi, so parts
+    write disjoint cells and read only cells they write, and the bits do not
+    depend on the part count: a full-width XOR would rewrite upper cells
+    that a later part's mirror fills at the same time.  A later part's
     streams are all made before it is handed over; part 0 makes a block's
     streams before drawing any, so making them holds the interpreter lock in
     few spells (made user by user, they kept a worker waiting on every user).
     """
     require_eps("eps", eps)
-    p_flip = 1.0 - rr_keep_probability(eps)
+    bound = rr_flip_bound(eps)
     n = bits.shape[0]
     if streams is None and n:
-        raise ValidationError("user 0: uniform draws are required at finite eps")
+        raise ValidationError("user 0: raw words are required at finite eps")
     height = max(1, _CELLS // max(n, 1))
 
     def users(lo: int, hi: int, held=None) -> None:
@@ -359,11 +406,11 @@ def _randomize_lower(bits: np.ndarray, eps: float, streams) -> None:
                 block = held[start - lo : stop - lo]
             for i, stream in enumerate(block, start):
                 try:
-                    u = as_uniforms(stream.random(i), (i,))
+                    words = as_words(stream.bit_generator.random_raw(i), (i,))
                 except ValidationError as exc:
                     raise ValidationError(f"user {i}: {exc}") from None
-                np.less(u, p_flip, out=flips[i - start, :i])
-            bits[start:stop, :hi] ^= flips[: stop - start].view(np.uint8)
+                np.less(words, bound, out=flips[i - start, :i])
+            bits[start:stop, :stop] ^= flips[: stop - start, :stop].view(np.uint8)
         for a in range(lo, hi, _PANEL):
             b = min(a + _PANEL, hi)
             bits[:a, a:b] = bits[a:b, :a].T

@@ -24,6 +24,7 @@ from .mechanisms import (
     PrivacyBudget,
     assemble_obfuscated,
     project_mu,
+    raw_uniforms,
     require_dense_bytes,
     substream,
 )
@@ -117,9 +118,9 @@ def run_ordered_stage(
 
     User i's draws come from substreams keyed (seed, trial, stage, i), so
     users could run concurrently and any schedule reproduces the same
-    output: the first uniform of its degree stream, the first i of its RR
-    stream.  No stream is built for a mechanism at eps=inf.  ``seed`` and
-    ``trial`` follow the integer rule and are kept as ``int``.
+    output: the first uniform of its degree stream, the first i raw words
+    of its RR stream.  No stream is built for a mechanism at eps=inf.
+    ``seed`` and ``trial`` follow the integer rule and are kept as ``int``.
     """
     seed, trial = require_integer(seed, "seed"), require_integer(trial, "trial")
     n = graph.n
@@ -129,7 +130,7 @@ def run_ordered_stage(
     u = None
     if budget.eps0 != INF:
         u = np.array(
-            [substream(seed, trial, STAGE_DEGREE, i).random() for i in range(n)]
+            [raw_uniforms(substream(seed, trial, STAGE_DEGREE, i)) for i in range(n)]
         )
     ordering = get_ordering(graph, budget.eps0, u)
     reordered = apply_ordering(graph, ordering)

@@ -16,6 +16,7 @@ from .mechanisms import (
     ObfuscatedGraph,
     PrivacyBudget,
     add_noise,
+    raw_uniforms,
     substream,
     unbias_span,
 )
@@ -65,7 +66,7 @@ def estimate_triangles(
         [user_triangle_estimate(i, stage.projected[i], stage.obf) for i in range(n)]
     )
     if budget.eps2 != INF:  # at eps2=inf the count noise is the identity
-        u = [substream(stage.seed, stage.trial, STAGE_COUNT, i).random() for i in range(n)]
+        u = [raw_uniforms(substream(stage.seed, stage.trial, STAGE_COUNT, i)) for i in range(n)]
         per_user = user_triangle_noise(
             per_user, stage.clipped_degrees, budget.eps1, budget.eps2, u
         )

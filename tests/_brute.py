@@ -28,8 +28,8 @@ graphs the library's raw-stream ``gen_ba`` reproduces, and
 ``_gen_ktree_tuples`` the random k-tree grown from lists of edge and clique
 tuples, whose graphs the library's array ``gen_ktree`` reproduces.
 ``given_rows`` is a stream function of fixed draws for
-``assemble_obfuscated`` and the RR reference, beside
-``partial(substream, ...)``.
+``assemble_obfuscated``, beside ``partial(substream, ...)``: it serves the
+raw words the draws are made from.
 ``walker_steps`` is the oracle's simple-path walker with the step counter it
 once checked in its loop; the library's walk bound must cover its count.
 Only usable at tiny sizes.
@@ -191,8 +191,23 @@ def _assemble_bits_lower_plus_transpose(graph: Graph, eps: float, streams):
 
 
 def given_rows(draws):
-    """Stream function of fixed draws: stream i's ``random`` returns ``draws[i]``."""
-    return lambda i: SimpleNamespace(random=lambda size: draws[i])
+    """Stream function of fixed draws, served as the raw words they are made from.
+
+    Stream i's ``bit_generator.random_raw`` returns the words (u * 2**53) << 11
+    of ``draws[i]``, from which ``(w >> 11) * 2**-53`` gives back each draw
+    exactly when it lies on the 2**-53 grid, as every test's draws do.
+    """
+    return lambda i: raw_stream(lambda size: _words(draws[i]))
+
+
+def raw_stream(random_raw):
+    """A stream whose bit generator's ``random_raw(size)`` is ``random_raw``."""
+    return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=random_raw))
+
+
+def _words(u) -> np.ndarray:
+    """The raw words whose draws are ``u``, for draws on the 2**-53 grid."""
+    return (np.asarray(u) * 2.0**53).astype(np.uint64) << np.uint64(11)
 
 
 def _unbiased_one_shot(bits: np.ndarray, eps: float) -> np.ndarray:

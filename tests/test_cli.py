@@ -126,6 +126,16 @@ def test_substream_golden_draws():
     ]
 
 
+def test_raw_uniforms_are_the_generator_draws_on_the_pinned_key():
+    rng = substream(0, 0, 2, 7)
+    assert mechanisms.raw_uniforms(substream(0, 0, 2, 7)) == rng.random()
+    assert mechanisms.raw_uniforms(substream(0, 0, 2, 7)).hex() == "0x1.4bd168b94159cp-3"
+    draws = mechanisms.raw_uniforms(substream(0, 0, 2, 7), 4)
+    assert draws.dtype == np.float64
+    assert draws.tobytes() == substream(0, 0, 2, 7).random(4).tobytes()
+    assert mechanisms.raw_uniforms(substream(0, 0, 2, 7), 0).shape == (0,)
+
+
 def test_the_shared_zero_counter_survives_earlier_streams():
     counter = mechanisms._COUNTER
     assert counter.dtype == np.uint64 and not counter.flags.writeable

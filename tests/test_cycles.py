@@ -402,6 +402,29 @@ def test_a_huge_k_is_refused_in_bounded_time(capsys):
     assert "n^99999998 tuples exceeds" in captured.err and captured.out == ""
 
 
+def test_the_walk_sum_is_priced_before_its_products(monkeypatch):
+    # With no fork pair the tuple price is 0, and the walk sum ran its k - 4
+    # n x n products for any k: 1.05 s at k = 10^6 + 1 on these 20 nodes.
+    g = Graph.from_edges(20, [(0, 1), (2, 3)])
+    budget = PrivacyBudget(0.5, 1.0, 1.0, 0.05)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work done past the walk price")
+
+    with monkeypatch.context() as m:
+        m.setattr(cycles, "server_walk_sum", must_not_run)
+        m.setattr(protocol, "assemble_obfuscated", must_not_run)
+        for mode in ("noisy", "no-noise"):
+            with pytest.raises(ResourceLimitError, match=r"^the walk sum: \(k - 4\) x n\^2"):
+                estimate_odd_cycles(g, 10**8 + 1, budget, 0, mode)
+        # one cell under the price of k = 7, (7 - 4) * 20^2 = 1,200
+        m.setattr(cycles, "PATH_TUPLE_LIMIT", 3 * 20 * 20 - 1)
+        with pytest.raises(ResourceLimitError, match="= 1200 cells exceeds 1199"):
+            estimate_odd_cycles(g, 7, None, 0, "no-noise")
+    monkeypatch.setattr(cycles, "PATH_TUPLE_LIMIT", 3 * 20 * 20)
+    assert estimate_odd_cycles(g, 7, None, 0, "no-noise").estimate == 0.0
+
+
 def test_c5_dense_price_checked_before_the_stage(monkeypatch):
     # Between the stage's 9 n^2 and the k=5 route's 26 n^2 bytes, the stage
     # alone would pass and the route would allocate its scratch.

@@ -6,7 +6,6 @@ import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,6 +50,7 @@ from _brute import (
     _unbiased_one_shot,
     derive_seed_one_shot,
     given_rows,
+    raw_stream,
 )
 
 INF = math.inf
@@ -174,6 +174,38 @@ def test_rr_needs_one_draw_per_bit():
     assert out.tolist() == [1, 1, 0, 0]
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    eps=st.floats(math.ulp(1.0), 40.0),
+    words=st.lists(st.integers(0, 2**64 - 1), max_size=8),
+    offsets=st.lists(st.integers(-(2**12), 2**12), max_size=8),
+)
+def test_the_flip_bound_is_exact(eps, words, offsets):
+    # A raw word is below the bound iff the draw Generator.random makes of
+    # it is below the flip probability, on the words next to the bound too.
+    p_flip = 1.0 - rr_keep_probability(eps)
+    bound = mechanisms.rr_flip_bound(eps)
+    t = int(bound) >> 11
+    near = [t * 2**11 - 1, t * 2**11, t * 2**11 - 2**11, t * 2**11 + 2**11, 0, 2**64 - 1]
+    near += [t * 2**11 + d for d in offsets]
+    w = [x for x in words + near if 0 <= x < 2**64]
+    assert [x < int(bound) for x in w] == [(x >> 11) * 2.0**-53 < p_flip for x in w]
+    w = np.array(w, dtype=np.uint64)
+    flips = mechanisms.as_words(w, w.shape) < bound
+    assert flips.tolist() == ((w >> np.uint64(11)) * 2.0**-53 < p_flip).tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.float64, np.int8, object])
+def test_words_of_another_dtype_are_refused(dtype):
+    # numpy compares int64 with uint64 through float64, which rounds
+    with pytest.raises(ValidationError, match=r"uint64 words of shape \(3,\)"):
+        mechanisms.as_words(np.zeros(3, dtype=dtype), (3,))
+    with pytest.raises(ValidationError, match="got list"):
+        mechanisms.as_words([0, 0, 0], (3,))
+    with pytest.raises(ValidationError, match=r"got \(2,\)"):
+        mechanisms.as_words(np.zeros(2, dtype=np.uint64), (3,))
+
+
 def test_rr_flip_probability_uniform_across_positions():
     # chi-square over per-position flip counts
     width, rows = 20, 5000
@@ -268,6 +300,19 @@ def test_assemble_symmetric_zero_diagonal():
     assert not np.array_equal(obf.bits, assemble_obfuscated(g, INF).bits)
 
 
+@pytest.mark.parametrize("eps", [2.0**-52, 1.0, math.log(3)])
+def test_release_flips_like_the_float_rule_at_the_flip_probability(eps):
+    # A draw of exactly p is the word T << 11 and keeps its bit; one grid
+    # step below p flips it, as randomize_response_row would.
+    p_flip = 1.0 - rr_keep_probability(eps)
+    g = gen_er(12, 0.4, seed=4)
+    truth = assemble_obfuscated(g, INF).bits
+    off_diagonal = 1 - np.eye(g.n, dtype=np.uint8)
+    for u in (p_flip, p_flip - 2.0**-53):
+        obf = assemble_obfuscated(g, eps, given_rows([np.full(i, u) for i in range(g.n)]))
+        assert np.array_equal(obf.bits, truth ^ off_diagonal * (u < p_flip))
+
+
 def test_assemble_rejects_missing_rows():
     g = gen_er(6, 0.5, seed=1)
     draws = [np.full(i, 0.5) for i in range(g.n)]
@@ -294,7 +339,7 @@ def test_panel_mirror_matches_lower_plus_transpose(n, eps):
     expected = _assemble_bits_lower_plus_transpose(g, eps, streams)
     assert obf.bits.dtype == np.uint8 and obf.bits.shape == (n, n)
     assert np.array_equal(obf.bits, expected)
-    assert np.array_equal(obf.unbiased, _unbiased_one_shot(expected, eps))
+    assert obf.unbiased.tobytes() == _unbiased_one_shot(expected, eps).tobytes()
 
 
 def _split(monkeypatch, parts):
@@ -316,7 +361,16 @@ def test_bytes_do_not_depend_on_the_part_count(monkeypatch, parts, n, eps):
     obf = assemble_obfuscated(g, eps, partial(substream, 17, "parts"))
     expected = _assemble_bits_lower_plus_transpose(g, eps, partial(substream, 17, "parts"))
     assert np.array_equal(obf.bits, expected)
-    assert np.array_equal(obf.unbiased, _unbiased_one_shot(expected, eps))
+    assert obf.unbiased.tobytes() == _unbiased_one_shot(expected, eps).tobytes()
+
+
+@pytest.mark.parametrize("parts", [1, 3])
+@pytest.mark.parametrize("eps", [2.0**-52, 0.1, math.log(3), 1.0, 709.78, 709.79, INF])
+def test_unbiased_bytes_are_the_one_shot_bytes(monkeypatch, parts, eps):
+    # By bytes: np.array_equal takes -0.0 for +0.0.
+    _split(monkeypatch, parts)
+    obf = assemble_obfuscated(gen_er(40, 0.3, seed=5), eps, partial(substream, 29, "bytes"))
+    assert obf.unbiased.tobytes() == _unbiased_one_shot(obf.bits, eps).tobytes()
 
 
 def test_parts_keep_their_bytes_when_threads_switch_every_microsecond(monkeypatch):
@@ -333,7 +387,7 @@ def test_parts_keep_their_bytes_when_threads_switch_every_microsecond(monkeypatc
         sys.setswitchinterval(interval)
     expected = _assemble_bits_lower_plus_transpose(g, 0.7, partial(substream, 19, "switch"))
     assert np.array_equal(obf.bits, expected)
-    assert np.array_equal(unbiased, _unbiased_one_shot(expected, 0.7))
+    assert unbiased.tobytes() == _unbiased_one_shot(expected, 0.7).tobytes()
 
 
 def test_estimates_do_not_depend_on_the_part_count(monkeypatch):
@@ -359,14 +413,14 @@ def test_streams_are_built_on_the_caller(monkeypatch):
         built.append(threading.get_ident())
         return substream(*path)
 
-    def recording_uniforms(u, shape):
+    def recording_words(words, shape):
         drawn.add(threading.get_ident())
-        return as_uniforms(u, shape)
+        return as_words(words, shape)
 
-    as_uniforms = mechanisms.as_uniforms
+    as_words = mechanisms.as_words
     for module in (protocol, triangles):
         monkeypatch.setattr(module, "substream", recording_substream)
-    monkeypatch.setattr(mechanisms, "as_uniforms", recording_uniforms)
+    monkeypatch.setattr(mechanisms, "as_words", recording_words)
     estimate_triangles(g, PrivacyBudget(0.5, 1.0, 1.0, 0.05), seed=3)
     assert set(built) == {caller} and len(built) == 3 * g.n
     assert caller in drawn and len(drawn) > 1
@@ -412,10 +466,10 @@ def test_a_part_error_is_raised_once_every_part_has_finished(monkeypatch):
 
     def slow_last(size):
         time.sleep(0.2)
-        return draws[-1]
+        return fixed(n - 1).bit_generator.random_raw(size)
 
     def streams(i):
-        return SimpleNamespace(random=slow_last) if i == n - 1 else fixed(i)
+        return raw_stream(slow_last) if i == n - 1 else fixed(i)
 
     with pytest.raises(ValidationError, match=r"user 1: .*shape \(1,\)"):
         assemble_obfuscated(g, 1.0, streams)
