@@ -79,8 +79,8 @@ def _path_grids(i: int, paths: np.ndarray, prods: np.ndarray, levels: int, ahat)
 
     Rows of ``paths`` are distinct-vertex paths (i, j, ...); the last vertex
     v is a grid column, ext[r, v] is row r's product times Â[last, v], and
-    ``keep`` drops zero products, used vertices and inadmissible triples.
-    Grids come in lexicographic order, at most _BLOCK_CELLS cells each.
+    ``keep`` drops zero products, inadmissible triples and, by one scatter,
+    each row's own vertices.  Grids: lexicographic, _BLOCK_CELLS cells at most.
     """
     v = np.arange(ahat.shape[0])
     step = max(1, _BLOCK_CELLS // ahat.shape[0])
@@ -88,7 +88,7 @@ def _path_grids(i: int, paths: np.ndarray, prods: np.ndarray, levels: int, ahat)
         block = paths[lo : lo + step]
         ext = prods[lo : lo + step, None] * ahat[block[:, -1]]
         keep = (ext != 0.0) & admissible(block[:, -2:-1], block[:, -1:], v, i)
-        keep &= (block[:, :, None] != v).all(1)
+        keep[np.arange(len(block))[:, None], block] = False
         if levels == 1:
             yield block, ext, keep
             continue
@@ -103,6 +103,7 @@ def _admissible_sum(i: int, below, above, k: int, ahat) -> float:
     Bit for bit a depth-first sum: tuples in lexicographic order, products
     formed left to right from 1.0, zero terms dropped, each (j, kappa) pair
     summed sequentially from 0.0, pair totals added in below x above order.
+    The closing rule is checked once per grid; (v, kappa, i) always holds.
     """
     v = np.arange(ahat.shape[0])
     total = 0.0
@@ -110,11 +111,14 @@ def _admissible_sum(i: int, below, above, k: int, ahat) -> float:
         pair = dict.fromkeys(above, 0.0)
         start = np.array([[i, j]]), np.array([1.0])
         for paths, ext, keep in _path_grids(i, *start, k - 3, ahat):
+            # every kappa in above exceeds i, so the rule is the same for all
+            keep &= admissible(paths[:, -1:], v, above[0], i)
             for kappa in above:
                 p = ext * ahat[:, kappa]
-                ok = keep & (p != 0.0) & (v != kappa) & (paths != kappa).all(1)[:, None]
-                ok &= admissible(paths[:, -1:], v, kappa, i)  # (v, kappa, i): kappa > i
-                pair[kappa] = float(np.add.accumulate(np.append(pair[kappa], p[ok]))[-1])
+                p = p[keep & (p != 0.0) & (v != kappa) & (paths != kappa).all(1)[:, None]]
+                if len(p):  # the running total rides on the first new term
+                    p[0] += pair[kappa]
+                    pair[kappa] = float(np.add.accumulate(p, out=p)[-1])
         for kappa in above:
             total += pair[kappa]
     return total

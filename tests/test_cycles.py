@@ -121,6 +121,14 @@ def test_admissible_matches_its_definition():
         assert admissible(u, v, w, i).tolist() == expected
 
 
+def test_the_closing_rule_is_the_same_for_every_kappa():
+    # The k >= 7 route applies admissible(last, v, kappa, i) once per grid,
+    # with kappa = above[0], for every kappa in above: all exceed i.
+    for i, u, v in itertools.permutations(range(8), 3):
+        rules = {admissible(u, v, w, i) for w in range(i + 1, 8)}
+        assert len(rules) <= 1, (u, v, i)
+
+
 def test_grid_route_matches_dfs_on_noisy_entries():
     g = gen_er(12, 0.35, seed=9)
     obf = _noisy_obf(g, 1.0, seed=4)
@@ -227,14 +235,24 @@ def test_k5_scratch_is_allocated_once_per_estimate(monkeypatch, k):
 
 
 @pytest.mark.parametrize("k", [7, 9])
-@pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "no-noise"])
+@pytest.mark.parametrize(
+    "eps1",
+    [
+        pytest.param(1.0, id="noisy"),
+        pytest.param(700.0, id="noisy-700"),
+        pytest.param(INF, id="no-noise"),
+    ],
+)
 @pytest.mark.parametrize("spec", ["er:6:0.9", "er:10:0.4", "ba:12:2", "er:11:0.35"])
-def test_path_route_matches_dfs_bit_for_bit(spec, noisy, k):
+def test_path_route_matches_dfs_bit_for_bit(spec, eps1, k):
     # The vectorized route keeps the DFS's tuples, products and additions,
     # so every fork pair and every user agrees to the last bit.  er:6:0.9
-    # has n < k: every sum is 0.0.
+    # has n < k: every sum is 0.0.  At eps1 = 700 a non-edge unbiases to
+    # about -9.86e-305, so a product with two of them underflows to +-0.0:
+    # zero terms arise on the noisy route too, and dropping them must not
+    # move a sum that starts at +0.0.
     g = make_graph(spec, derive_seed(k, "graph"))
-    obf = _noisy_obf(g, 1.0, seed=5) if noisy else assemble_obfuscated(g, INF)
+    obf = _noisy_obf(g, eps1, seed=5)  # the streams go unused at eps1 = inf
     rows = obf.unbiased.tolist()
     fork_users = nonzero = 0
     for i in range(g.n):
