@@ -18,12 +18,13 @@ from .experiments import (
     ExperimentConfig,
     error_scaling,
     load_graph,
+    require_orderings,
     run_trials,
     verify_bounds,
 )
 from .graphs import dump_edge_list, graph_stats
 from .mechanisms import PrivacyBudget, check_budget
-from .oracles import exact_counts
+from .oracles import exact_counts, require_lengths
 from .protocol import MODES
 from .triangles import estimate_triangles
 
@@ -91,7 +92,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("stats", help="size, degree and degeneracy statistics")
     _add_source(p)
     _add_seed_out(p)
-    p.set_defaults(run=lambda a: graph_stats(_load_source(a)))
+    p.set_defaults(run=lambda a: _on_source(a, graph_stats))
 
     p = sub.add_parser("count-exact", help="exact subgraph counts")
     _add_source(p)
@@ -102,25 +103,26 @@ def build_parser() -> _Parser:
                    help="comma-separated path edge counts")
     p.add_argument("--monotone", type=_int_list, default="",
                    help="comma-separated even cycle lengths")
-    p.set_defaults(run=lambda a: exact_counts(
-        _load_source(a),
-        cycle_lengths=a.cycles,
-        path_lengths=a.paths,
-        monotone_lengths=a.monotone,
+    p.set_defaults(run=lambda a: _on_source(
+        a, exact_counts, *require_lengths(a.cycles, a.paths, a.monotone)
     ))
 
     p = sub.add_parser("estimate-triangles", help="one private triangle estimate")
     _add_source(p)
     _add_budget(p)
     _add_run(p)
-    p.set_defaults(run=lambda a: _estimate(a, estimate_triangles))
+    p.set_defaults(run=lambda a: _on_source(
+        a, estimate_triangles, _budget_from(a), a.seed, a.mode
+    ))
 
     p = sub.add_parser("estimate-cycles", help="one private odd-cycle estimate")
     _add_source(p)
     _add_budget(p)
     _add_run(p)
     p.add_argument("--k", type=int, required=True, help="odd cycle length >= 5")
-    p.set_defaults(run=lambda a: _estimate(a, estimate_odd_cycles, a.k))
+    p.set_defaults(run=lambda a: _on_source(
+        a, estimate_odd_cycles, require_odd_k(a.k), _budget_from(a), a.seed, a.mode
+    ))
 
     p = sub.add_parser("experiment", help="Monte-Carlo trials with summary stats")
     _add_source(p)
@@ -138,8 +140,8 @@ def build_parser() -> _Parser:
                    help="noisy-degree orderings to measure")
     p.add_argument("--eps0", type=float, required=True,
                    help="degree-publication budget of each ordering")
-    p.set_defaults(run=lambda a: verify_bounds(
-        _load_source(a), a.orderings, a.eps0, a.seed
+    p.set_defaults(run=lambda a: _on_source(
+        a, verify_bounds, require_orderings(a.orderings, a.eps0), a.eps0, a.seed
     ))
 
     p = sub.add_parser("error-scaling", help="RMSE vs n and its log-log slope")
@@ -156,10 +158,6 @@ def build_parser() -> _Parser:
     )
 
     return parser
-
-
-def _load_source(args):
-    return load_graph(args.graph, args.gen, args.seed)
 
 
 def _budget_from(args) -> PrivacyBudget | None:
@@ -180,11 +178,9 @@ def _budget_from(args) -> PrivacyBudget | None:
     return budget
 
 
-def _estimate(args, estimate, *k):
-    """One estimate; its budget and cycle length are refused before the graph is built."""
-    budget = _budget_from(args)
-    k = tuple(map(require_odd_k, k))
-    return estimate(_load_source(args), *k, budget, args.seed, args.mode)
+def _on_source(args, run, *checked):
+    """``run(graph, *checked)``; the graph is built after the caller checked ``checked``."""
+    return run(load_graph(args.graph, args.gen, args.seed), *checked)
 
 
 def _config_from(args) -> ExperimentConfig:

@@ -194,6 +194,14 @@ class BoundReport(Document):
     edge_count_ok: bool  # m <= degeneracy * n
 
 
+def require_orderings(orderings, eps0: float) -> int:
+    """``orderings`` as an ``int``, once it and ``eps0`` pass ``verify_bounds``' rules."""
+    require_eps("eps0", eps0)
+    if require_integer(orderings, "orderings") < 1:
+        raise ValidationError(f"orderings must be >= 1, got {orderings}")
+    return int(orderings)
+
+
 def verify_bounds(graph: Graph, orderings: int, eps0: float, seed: int) -> BoundReport:
     """Measure low-2-star and monotone-4-cycle counts over repeated orderings.
 
@@ -202,11 +210,8 @@ def verify_bounds(graph: Graph, orderings: int, eps0: float, seed: int) -> Bound
     bug.  The tighter chiba_sum <= m*degeneracy variant does not hold in
     general and is only reported.
     """
-    require_eps("eps0", eps0)
-    orderings = require_integer(orderings, "orderings")
+    orderings = require_orderings(orderings, eps0)
     seed = require_integer(seed, "seed")
-    if orderings < 1:
-        raise ValidationError(f"orderings must be >= 1, got {orderings}")
     stats = graph_stats(graph)
     chiba_ok = stats.chiba_sum <= 2 * stats.m * stats.degeneracy
     edge_ok = stats.m <= stats.degeneracy * stats.n

@@ -20,7 +20,6 @@ from .graphs import Graph, require_edge_count, require_integer
 # edges, at 1.7e-7 to 6.5e-7 s a step (ER, mean degree 30 down to 2): 1e8, the
 # old step counter's cap, admits about 20 s, and up to a minute when sparse.
 WALK_LIMIT = 10**8
-MAX_CYCLE_LENGTH = 9
 
 
 def count_triangles(graph: Graph) -> int:
@@ -109,14 +108,10 @@ def _simple_paths(graph: Graph, edges: int, rising: bool) -> Iterator[list[int]]
 
 
 def _cycle_length(k) -> int:
-    """``k`` as an ``int``, refused unless the walker counts k-cycles."""
+    """``k`` as an ``int``, refused unless it is a cycle length >= 3."""
     k = require_integer(k, "cycle length")
     if k < 3:
         raise ValidationError(f"cycle length must be >= 3, got {k}")
-    if k > MAX_CYCLE_LENGTH:
-        raise ResourceLimitError(
-            f"cycle length {k} exceeds the desk-scale cap of {MAX_CYCLE_LENGTH}"
-        )
     return k
 
 
@@ -129,11 +124,17 @@ def _path_length(k) -> int:
 
 
 def _monotone_length(length) -> int:
-    """``length`` as an ``int``, refused unless an even cycle length the walker counts."""
+    """``length`` as an ``int``, refused unless it is an even cycle length >= 4."""
     length = require_integer(length, "length")
     if length % 2 != 0 or length < 4:
         raise ValidationError(f"length must be even and >= 4, got {length}")
-    return _cycle_length(length)
+    return length
+
+
+def require_lengths(cycles, paths, monotone) -> tuple[list[int], ...]:
+    """Every length as an ``int`` (np.int64(5) keys as 5), once all pass their rules."""
+    rules = (_cycle_length, _path_length, _monotone_length)
+    return tuple(list(map(rule, ks)) for rule, ks in zip(rules, (cycles, paths, monotone)))
 
 
 def enumerate_cycles(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
@@ -215,15 +216,12 @@ def exact_counts(
     path_lengths: tuple[int, ...] = (),
     monotone_lengths: tuple[int, ...] = (),
 ) -> ExactCounts:
-    # Every length is checked before the first count, so a bad one costs no
-    # count, and made an int, so np.int64(5) keys as 5.
-    cycle_lengths = list(map(_cycle_length, cycle_lengths))
-    path_lengths = list(map(_path_length, path_lengths))
-    monotone_lengths = list(map(_monotone_length, monotone_lengths))
+    # every length is checked before the first count, so a bad one costs no count
+    cycles, paths, monotone = require_lengths(cycle_lengths, path_lengths, monotone_lengths)
     return ExactCounts(
         triangles=count_triangles(graph),
         low2stars=count_low2stars(graph),
-        cycles={k: count_cycles(graph, k) for k in cycle_lengths},
-        paths={k: count_paths(graph, k) for k in path_lengths},
-        monotone_cycles={k: count_monotone_cycles(graph, k) for k in monotone_lengths},
+        cycles={k: count_cycles(graph, k) for k in cycles},
+        paths={k: count_paths(graph, k) for k in paths},
+        monotone_cycles={k: count_monotone_cycles(graph, k) for k in monotone},
     )

@@ -291,6 +291,14 @@ def test_resource_limit_exit_2(capsys):
     assert code == 2
 
 
+def test_cycles_past_nine_are_counted_under_the_walk_price(capsys):
+    # exited 2 on a length cap of 9; priced at 5.2e6, 2.0e7 and 7.5e7
+    code, out, err = run_cli(capsys, "count-exact", "--gen", "er:13:0.25",
+                             "--cycles", "10,11,12")
+    assert code == 0, err
+    assert json.loads(out)["cycles"] == {"10": 775, "11": 582, "12": 265}
+
+
 @pytest.mark.parametrize("big", [99_999_999_999, 2**62, 2**70], ids=repr)
 def test_huge_node_id_exit_2(tmp_path, capsys, big):
     # these died with a 745 GiB MemoryError, an int64 key overflow (exit 1)
@@ -410,6 +418,25 @@ def test_estimates_refuse_a_bad_budget_or_k_before_building_the_graph(
     # on ba:200000:3 these exited 1 only after 0.5 s of building the graph
     def graph_must_not_be_built(*args):
         raise AssertionError("built the graph before the budget and k were checked")
+
+    monkeypatch.setattr(experiments, "make_graph", graph_must_not_be_built)
+    code, out, err = run_cli(capsys, *argv, "--gen", "ba:200000:3")
+    assert_rejected(code, out, err, *names)
+
+
+@pytest.mark.parametrize("argv, names", [
+    (("count-exact", "--cycles", "2"), ["cycle length"]),
+    (("count-exact", "--paths", "0"), ["path edge count"]),
+    (("count-exact", "--monotone", "5"), ["even"]),
+    (("verify-bounds", "--orderings", "1", "--eps0", "-1"), ["eps0"]),
+    (("verify-bounds", "--orderings", "0", "--eps0", "1"), ["orderings"]),
+], ids=["cycles-2", "paths-0", "monotone-5", "eps0-negative", "orderings-0"])
+def test_exact_counts_and_bounds_refuse_a_bad_argument_before_building_the_graph(
+    monkeypatch, capsys, argv, names
+):
+    # on ba:200000:3 these exited 1 only after 0.55-0.60 s of building the graph
+    def graph_must_not_be_built(*args):
+        raise AssertionError("built the graph before the arguments were checked")
 
     monkeypatch.setattr(experiments, "make_graph", graph_must_not_be_built)
     code, out, err = run_cli(capsys, *argv, "--gen", "ba:200000:3")

@@ -44,6 +44,10 @@ Every module-level constant, a name in capitals with at most one leading
 underscore, is read somewhere in ``src/ldpcount``: a constant no code reads
 is a knob left behind.
 
+Every guard is a price: a function that raises ``ResourceLimitError`` reads
+a module-level ``*_LIMIT`` name, so no refusal stands on a cap that prices
+no work.
+
 The estimators take the graph, the cycle length ``k`` for cycles, the
 budget, the seed, the mode and a keyword-only trial, and nothing else: a new
 option changes ``ESTIMATOR_SIGNATURES`` and has to show a measurement that
@@ -537,6 +541,45 @@ def test_every_module_constant_is_read():
     read = set().union(*map(names_read, trees))
     constants = [name for tree in trees for name in module_constants(tree)]
     assert [name for name in constants if name not in read] == []
+
+
+def unpriced_guards(tree: ast.AST, module: str, limits: set[str]) -> list[str]:
+    """Functions that raise ``ResourceLimitError`` but read none of ``limits``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            raised = {
+                getattr(exc, "id", getattr(exc, "attr", None))
+                for r in ast.walk(node)
+                if isinstance(r, ast.Raise) and r.exc is not None
+                for exc in [getattr(r.exc, "func", r.exc)]
+            }
+            if "ResourceLimitError" in raised and not names_read(node) & limits:
+                found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_finds_unpriced_guards():
+    tree = ast.parse(
+        "A_LIMIT = 10\nMAX_K = 9\n"
+        "def priced(n):\n    limit = A_LIMIT\n    if n > limit:\n"
+        "        raise ResourceLimitError(n)\n"
+        "def capped(k):\n    if k > MAX_K:\n        raise errors.ResourceLimitError(k)\n"
+        "def bare(k):\n    if k > 9:\n        raise ResourceLimitError\n"
+        "def other(n):\n    if n > A_LIMIT:\n        raise ValidationError(n)\n"
+        "def reraise():\n    raise\n"
+    )
+    assert unpriced_guards(tree, "m", {"A_LIMIT"}) == ["m.capped", "m.bare"]
+
+
+def test_every_guard_reads_a_limit():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in MODULES
+    }
+    limits = {n for tree in trees.values() for n in module_constants(tree) if n.endswith("_LIMIT")}
+    found = [g for stem, tree in trees.items() for g in unpriced_guards(tree, stem, limits)]
+    assert found == []
 
 
 ESTIMATOR_SIGNATURES = {

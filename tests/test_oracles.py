@@ -61,13 +61,35 @@ def test_cycles_known():
 def test_cycles_guards():
     with pytest.raises(ValidationError):
         count_cycles(cycle_graph(4), 2)
-    with pytest.raises(ResourceLimitError):
-        count_cycles(cycle_graph(12), 10)
+    # no length cap: only the walk price refuses a cycle length
+    assert count_cycles(cycle_graph(12), 10) == 0
     # at the call, not at the first next()
     with pytest.raises(ValidationError):
         enumerate_cycles(complete_graph(4), 2)
-    with pytest.raises(ResourceLimitError):
-        enumerate_cycles(complete_graph(4), 12)
+    assert list(enumerate_cycles(complete_graph(4), 12)) == []
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_cycles_on_complete_graphs_match_the_closed_form(n):
+    # C(n, k) vertex sets, each closing (k - 1)!/2 cycles; C10 on K10 is priced at 5.6e7
+    g = complete_graph(n)
+    for k in range(3, n + 1):
+        assert count_cycles(g, k) == math.comb(n, k) * math.factorial(k - 1) // 2
+
+
+@pytest.mark.parametrize("n", [10, 11, 12, 13])
+def test_a_cycle_graph_holds_one_cycle_of_its_own_length(n):
+    g = cycle_graph(n)
+    assert [count_cycles(g, k) for k in range(3, n + 1)] == [0] * (n - 3) + [1]
+
+
+def test_a_long_cycle_is_refused_by_its_walk_price_before_the_walk(monkeypatch):
+    def walker_must_not_run(*args):
+        raise AssertionError("walked before the price was checked")
+
+    monkeypatch.setattr(oracles, "_simple_paths", walker_must_not_run)
+    with pytest.raises(ResourceLimitError, match="WALK_LIMIT"):  # priced at 2.87e8
+        count_cycles(complete_graph(11), 10)
 
 
 def test_partial_path_guard_trips_on_every_walker_route(monkeypatch):
@@ -307,24 +329,21 @@ def test_exact_counts_bundle_json():
     assert c.cycles[3] == c.triangles
 
 
-@pytest.mark.parametrize("lengths, error", [
-    ({"cycle_lengths": (2,)}, ValidationError),
-    ({"cycle_lengths": (12,)}, ResourceLimitError),
-    ({"path_lengths": (0,)}, ValidationError),
-    ({"monotone_lengths": (5,)}, ValidationError),
-    ({"monotone_lengths": (10,)}, ResourceLimitError),
-    ({"cycle_lengths": (4,), "path_lengths": (2,), "monotone_lengths": (4.0,)},
-     ValidationError),
-], ids=["cycle-2", "cycle-12", "path-0", "monotone-5", "monotone-10", "last-of-many"])
-def test_exact_counts_refuses_a_bad_length_before_the_first_count(
-    monkeypatch, lengths, error
-):
+@pytest.mark.parametrize("lengths", [
+    {"cycle_lengths": (2,)},
+    {"cycle_lengths": (3.5,)},
+    {"path_lengths": (0,)},
+    {"monotone_lengths": (5,)},
+    {"monotone_lengths": (2,)},
+    {"cycle_lengths": (4,), "path_lengths": (2,), "monotone_lengths": (4.0,)},
+], ids=["cycle-2", "cycle-3.5", "path-0", "monotone-5", "monotone-2", "last-of-many"])
+def test_exact_counts_refuses_a_bad_length_before_the_first_count(monkeypatch, lengths):
     # the triangle count ran first: 6.3 s on gen_ba(10**6, 3)
     def must_not_count(graph):
         raise AssertionError("counted before every length was checked")
 
     monkeypatch.setattr(oracles, "count_triangles", must_not_count)
-    with pytest.raises(error):
+    with pytest.raises(ValidationError):
         exact_counts(complete_graph(4), **lengths)
 
 
