@@ -73,8 +73,9 @@ def _add_trials(p: _Parser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="csv",
                    help="output format (default csv)")
     p.add_argument("--threads", type=int, default=1,
-                   help="threads running trials; the output is the same for any count. "
-                        "On 2 vCPUs, 2 threads ran 20 C7 trials on er:20:0.2 1.5x faster, "
+                   help="threads running trials, at most one per trial and per usable core; "
+                        "the output is the same for any count. "
+                        "On 2 vCPUs, 2 threads ran 20 C7 trials on er:20:0.2 1.4x faster, "
                         "but made 20 triangle trials on ba:400:3 take 1.2-1.4x as long")
 
 

@@ -26,7 +26,14 @@ from .graphs import (
     load_edge_list,
     require_integer,
 )
-from .mechanisms import PrivacyBudget, derive_seed, raw_uniforms, require_eps, substream
+from .mechanisms import (
+    CORES,
+    PrivacyBudget,
+    derive_seed,
+    raw_uniforms,
+    require_eps,
+    substream,
+)
 from .oracles import count_cycles, count_low2stars, count_monotone_cycles, count_triangles
 from .ordering import apply_ordering, get_ordering
 from .protocol import EstimateReport, resolve_mode
@@ -153,8 +160,11 @@ def run_trials(config: ExperimentConfig) -> TrialSummary:
         run = lambda t: estimate_odd_cycles(
             graph, config.k, config.budget, config.seed, config.mode, trial=t
         )
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+    # each running trial holds its own dense release, so no more run at once
+    # than there are trials or cores to run them
+    workers = min(config.threads, config.trials, CORES)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run, range(config.trials)))
     else:
         reports = [run(t) for t in range(config.trials)]

@@ -51,8 +51,9 @@ _PANEL = 256
 # layer splits below the size where its split paid.
 _PART_CELLS = 2**22
 
-# Cores this process may run on, read once at import.
-_CORES = (
+# Cores this process may run on, read once at import; the dense layers'
+# parts and run_trials' workers are each capped by it.
+CORES = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
 
@@ -402,7 +403,7 @@ def assemble_obfuscated(graph: Graph, eps: float, streams=None) -> ObfuscatedGra
 def _run_parts(cells: int, cut, work, hand_off=lambda lo, hi: (lo, hi)) -> None:
     """Run ``work`` over the consecutive row parts of a layer of ``cells`` cells.
 
-    There are P = max(1, min(_CORES, cells // _PART_CELLS)) parts; part p
+    There are P = max(1, min(CORES, cells // _PART_CELLS)) parts; part p
     spans rows [cut(p / P), cut((p + 1) / P)), so ``cut`` maps 0 to the
     first row and 1 past the last.  Part 0 runs ``work(lo, hi)`` on the
     calling thread.  Each later part is first passed to ``hand_off(lo, hi)``
@@ -411,7 +412,7 @@ def _run_parts(cells: int, cut, work, hand_off=lambda lo, hi: (lo, hi)) -> None:
     disjoint cells.  Every thread is joined before the layer returns, and
     then the first error in part order is raised.
     """
-    parts = max(1, min(_CORES, cells // _PART_CELLS))
+    parts = max(1, min(CORES, cells // _PART_CELLS))
     cuts = [cut(p / parts) for p in range(parts + 1)]
     with ThreadPoolExecutor(parts, "ldpcount-part") as pool:
         rest = [pool.submit(work, *hand_off(lo, hi)) for lo, hi in zip(cuts[1:], cuts[2:])]

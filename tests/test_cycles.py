@@ -252,6 +252,16 @@ def test_path_route_matches_dfs_bit_for_bit(spec, eps1, k):
     # zero terms arise on the noisy route too, and dropping them must not
     # move a sum that starts at +0.0.
     g = make_graph(spec, derive_seed(k, "graph"))
+    fork_users, nonzero = _route_matches_dfs(g, eps1, k)
+    assert 0 < fork_users < g.n  # some users have an empty below or above
+    assert (nonzero > 0) == (g.n >= k)
+
+
+def _route_matches_dfs(g, eps1, k):
+    """Assert every fork pair's and user's sum equals the DFS's to the bit.
+
+    Returns the count of users with fork pairs and of nonzero user sums.
+    """
     obf = _noisy_obf(g, eps1, seed=5)  # the streams go unused at eps1 = inf
     rows = obf.unbiased.tolist()
     fork_users = nonzero = 0
@@ -268,8 +278,19 @@ def test_path_route_matches_dfs_bit_for_bit(spec, eps1, k):
         got = user_cycle_estimate(i, g.row(i), obf, k)
         assert got.hex() == dfs_total.hex(), i
         nonzero += got != 0.0
-    assert 0 < fork_users < g.n  # some users have an empty below or above
-    assert (nonzero > 0) == (g.n >= k)
+    return fork_users, nonzero
+
+
+@pytest.mark.parametrize("k", [7, 9])
+@pytest.mark.parametrize("eps1", [1.0, 700.0, INF], ids=["noisy", "noisy-700", "no-noise"])
+@pytest.mark.parametrize("rows", [1, 3], ids=["one-row-blocks", "three-row-blocks"])
+def test_path_route_matches_dfs_across_row_blocks(monkeypatch, rows, eps1, k):
+    # With _BLOCK_CELLS = n each grid holds one path, and with 3n + 1 three:
+    # every frontier splits into several blocks, each with its own own-vertex
+    # grid, and the sums still keep the DFS's terms and order to the last bit.
+    g = make_graph("er:10:0.4", derive_seed(k, "graph"))
+    monkeypatch.setattr(cycles, "_BLOCK_CELLS", rows * g.n + (rows > 1))
+    assert _route_matches_dfs(g, eps1, k)[1] > 0
 
 
 def test_path_route_memory_does_not_grow_with_the_paths():

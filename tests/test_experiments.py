@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -209,6 +210,43 @@ def test_run_trials_threads_do_not_change_results():
     s1 = run_trials(ExperimentConfig(**base, threads=1, keep_estimates=True))
     s4 = run_trials(ExperimentConfig(**base, threads=4, keep_estimates=True))
     assert s1 == s4
+
+
+@pytest.mark.parametrize(
+    "cores", [1, 3, 10**6, mechanisms.CORES], ids=["1-core", "3-cores", "1e6-cores", "host"]
+)
+@pytest.mark.parametrize("trials", [1, 5], ids=["1-trial", "5-trials"])
+def test_run_trials_runs_at_most_one_worker_per_trial_and_core(monkeypatch, cores, trials):
+    # A million threads asked for: the pool gets min(threads, trials, cores)
+    # workers, and a one-worker run takes no pool.  The recording pool maps
+    # serially and Thread.start raises, so the test starts no OS thread.
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    def no_thread(self):
+        raise AssertionError("run_trials started a thread")
+
+    base = dict(task="cycles", k=5, trials=trials, seed=7, gen="er:14:0.3", budget=BUDGET,
+                keep_estimates=True)
+    serial = run_trials(ExperimentConfig(**base))
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiments, "CORES", cores)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert run_trials(ExperimentConfig(**base, threads=10**6)) == serial
+    workers = min(trials, cores)
+    assert pools == ([workers] if workers > 1 else [])
 
 
 def test_verify_bounds_k4_exact_mode():

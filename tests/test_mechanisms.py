@@ -344,7 +344,7 @@ def test_panel_mirror_matches_lower_plus_transpose(n, eps):
 
 def _split(monkeypatch, parts):
     """Run a dense layer of C cells in min(parts, C) row parts."""
-    monkeypatch.setattr(mechanisms, "_CORES", parts)
+    monkeypatch.setattr(mechanisms, "CORES", parts)
     monkeypatch.setattr(mechanisms, "_PART_CELLS", 1)
 
 
